@@ -101,7 +101,7 @@ def run(config: RunConfig) -> dict:
     if config.variant == "implicit":
         guarantee = 12.0 * config.delta
         try:
-            result = implicit_approx_cover(P, config.delta, cfg)
+            result = implicit_approx_cover(P, config.delta, cfg, simplification=simp)
         except SolverFailure as exc:
             failure, result = exc, None
     elif config.variant == "greedy":
@@ -125,33 +125,32 @@ def run(config: RunConfig) -> dict:
         "n_vertices": P.n,
         "n_simplified": S.n,
     }
-    if failure is not None or result is None:
+    if failure is not None:
         report["verdict"] = "FAILED"
-        report["failure"] = str(failure) if failure else "no cover found"
-        report["wall_time_s"] = time.perf_counter() - started
-        return report
-
-    centers = result.center_segments(S)
-    coverage = full_coverage(P, centers, guarantee)
-    verdict = "SKIPPED"
-    if config.verify:
-        verdict = "PASS" if covers_unit(coverage) else "FAILED"
-    report.update(
-        {
-            "k_found": result.k_found,
-            "iterations": result.iterations,
-            "centers": [[seg.start.tolist(), seg.end.tolist()] for seg in centers],
-            "coverage": [[iv.lo, iv.hi] for iv in coverage],
-            "verdict": verdict,
-        }
-    )
+        report["failure"] = str(failure)
+        report["diagnostics"] = failure.diagnostics
+    else:
+        centers = result.center_segments(S)
+        coverage = full_coverage(P, centers, guarantee)
+        verdict = "SKIPPED"
+        if config.verify:
+            verdict = "PASS" if covers_unit(coverage) else "FAILED"
+        report.update(
+            {
+                "k_found": result.k_found,
+                "iterations": result.iterations,
+                "centers": [[seg.start.tolist(), seg.end.tolist()] for seg in centers],
+                "coverage": [[iv.lo, iv.hi] for iv in coverage],
+                "verdict": verdict,
+            }
+        )
     report["wall_time_s"] = time.perf_counter() - started
 
     if config.output_json_path:
         with open(config.output_json_path, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    if config.output_svg_path:
+    if config.output_svg_path and failure is None:
         render_svg(P, centers, coverage, config.output_svg_path)
     return report
 

@@ -24,12 +24,16 @@ from .freespace import (
     psi_ij_contains,
 )
 from .geometry import (
+    BallIntervals,
     EdgePoint,
     Interval,
     PolyCurve,
     RadInterval,
     Segment,
+    ball_intervals,
     ball_segment_radical,
+    filtered_nonneg,
+    filtered_sweep,
     capsule_segment_radical,
 )
 from .radicals import Radical, rad_max, rad_min
@@ -284,169 +288,128 @@ def feasible_rectangles(S: PolyCurve, t: EdgePoint, edge: int, delta: float) -> 
 # ---------------------------------------------------------------------------
 # vectorized helpers for the sampling loops
 #
-# The scalar operations above are the contract; the helpers below evaluate
-# the same window logic across many candidate segments at once with float
-# comparisons.  They are cross-checked against the scalar path in the tests.
+# The scalar operations above are the contract.  The helpers below make the
+# same window decisions for many candidate segments at once, as filtered
+# predicates over ``geometry.ball_intervals``: every comparison goes through
+# ``geometry.filtered_nonneg`` and every sweep across a window's inner
+# vertices through ``geometry.filtered_sweep``, which hold the tolerance
+# policy.  A window is dead when one of its decisions fails decisively, and
+# unsure when it is not dead and some decision is undecided.  Unsure
+# windows are decided by the scalar path, so the result is the scalar one.
+# Ties are common, not rare: candidate endpoints are extremal points of the
+# same radius, so their balls often touch a cell at a single point.
+
+# Window-table entries (edges x candidates) per block of candidates; bounds
+# the memory of the broadcast kernel calls.
+_BLOCK_ENTRIES = 1 << 16
 
 
-def _ball_rows(e0: np.ndarray, e1: np.ndarray, centers: np.ndarray, dd: float):
-    """Clamped quadratic sublevel intervals of one edge against many centers."""
-    v = e1 - e0
-    aa = float(np.dot(v, v))
-    w = e0[None, :] - centers
-    if aa == 0.0:
-        inside = (w * w).sum(axis=1) <= dd
-        lo = np.where(inside, 0.0, np.inf)
-        hi = np.where(inside, 1.0, -np.inf)
-        return inside, lo, hi
-    bb = 2.0 * (w @ v)
-    cc = (w * w).sum(axis=1) - dd
-    disc = bb * bb - 4 * aa * cc
-    ok = disc >= 0
-    root = np.sqrt(np.maximum(disc, 0.0))
-    lo = np.maximum((-bb - root) / (2 * aa), 0.0)
-    hi = np.minimum((-bb + root) / (2 * aa), 1.0)
-    ok &= lo <= hi
-    return ok, np.where(ok, lo, np.inf), np.where(ok, hi, -np.inf)
+def _nonempty(balls: BallIntervals, k: int):
+    """(holds, undecided) for row k of the intervals being nonempty."""
+    return ~balls.tight[k] & (balls.lo[k] <= 1.0), balls.tight[k]
 
 
-def _ball_on_candidates(starts: np.ndarray, ends: np.ndarray, center: np.ndarray, dd: float):
-    """Sublevel intervals on many candidate segments against one center."""
-    v = ends - starts
-    w = starts - center[None, :]
-    aa = (v * v).sum(axis=1)
-    bb = 2.0 * (v * w).sum(axis=1)
-    cc = (w * w).sum(axis=1) - dd
-    degen = aa == 0.0
-    safe = np.where(degen, 1.0, aa)
-    disc = bb * bb - 4 * aa * cc
-    ok = disc >= 0
-    root = np.sqrt(np.maximum(disc, 0.0))
-    lo = np.maximum((-bb - root) / (2 * safe), 0.0)
-    hi = np.minimum((-bb + root) / (2 * safe), 1.0)
-    inside = cc <= 0
-    lo = np.where(degen, np.where(inside, 0.0, np.inf), lo)
-    hi = np.where(degen, np.where(inside, 1.0, -np.inf), hi)
-    ok = np.where(degen, inside, ok & (lo <= hi))
-    return ok, np.where(ok, lo, np.inf), np.where(ok, hi, -np.inf)
+def _window_sweeps(vert: BallIntervals, first: int, count: int):
+    """Sweeps across the vertical rows first, first+1, ... of ``vert``.
+
+    Returns (alive, unsure) with row k for the sweep across the first k of
+    those rows (k = 0..count, fewer where ``vert`` ends): ``alive`` where
+    every crossing holds decisively, ``unsure`` where the sweep stopped at
+    an undecided one (``geometry.filtered_sweep``).  Row 0 crosses nothing.
+    """
+    rows = BallIntervals._make(a[first : first + count] for a in vert)
+    alive, unsure = filtered_sweep(rows, axis=0)
+    none = np.zeros((1, alive.shape[1]), dtype=bool)
+    return np.vstack([~none, alive]), np.vstack([none, unsure])
 
 
 def batch_candidate_coverage(
     S: PolyCurve, starts: np.ndarray, ends: np.ndarray, delta: float
 ) -> List[List[Interval]]:
-    """Structured coverage intervals for many candidate segments at once."""
+    """``candidate_coverage_intervals`` for many candidate segments at once."""
+    step = max(_BLOCK_ENTRIES // max(S.num_edges, 1), 1)
+    out: List[List[Interval]] = []
+    for k in range(0, starts.shape[0], step):
+        out.extend(_coverage_block(S, starts[k : k + step], ends[k : k + step], delta))
+    return out
+
+
+def _coverage_block(S: PolyCurve, starts: np.ndarray, ends: np.ndarray, delta: float):
     N = starts.shape[0]
     ne = S.num_edges
-    dd = delta * delta
     params = S.vertex_params
     V = S.vertices
-
-    bot_ok = np.empty((ne, N), dtype=bool)
-    bot_lo = np.empty((ne, N))
-    top_ok = np.empty((ne, N), dtype=bool)
-    top_hi = np.empty((ne, N))
-    for i in range(ne):
-        vdir = V[i + 1] - V[i]
-        aa = float(np.dot(vdir, vdir))
-        for (arr_ok, arr_val, centers, take_hi) in (
-            (bot_ok, bot_lo, starts, False),
-            (top_ok, top_hi, ends, True),
-        ):
-            w = V[i][None, :] - centers
-            if aa == 0.0:
-                inside = (w * w).sum(axis=1) <= dd
-                arr_ok[i] = inside
-                arr_val[i] = np.where(inside, 1.0 if take_hi else 0.0, np.nan)
-                continue
-            bb = 2.0 * (w @ vdir)
-            cc = (w * w).sum(axis=1) - dd
-            disc = bb * bb - 4 * aa * cc
-            ok = disc >= 0
-            root = np.sqrt(np.maximum(disc, 0.0))
-            lo = np.maximum((-bb - root) / (2 * aa), 0.0)
-            hi = np.minimum((-bb + root) / (2 * aa), 1.0)
-            ok &= lo <= hi
-            arr_ok[i] = ok
-            arr_val[i] = hi if take_hi else lo
-
-    # vertical intervals at vertices 2..n-1 on each candidate segment
-    vert_ok = np.empty((max(ne - 1, 0), N), dtype=bool)
-    vert_lo = np.empty((max(ne - 1, 0), N))
-    vert_hi = np.empty((max(ne - 1, 0), N))
-    for v in range(2, ne + 1):
-        ok, lo, hi = _ball_on_candidates(starts, ends, V[v - 1], dd)
-        vert_ok[v - 2] = ok
-        vert_lo[v - 2] = lo
-        vert_hi[v - 2] = hi
-
     widths = np.diff(params)
+    # bottoms and tops of every cell (edge x candidate), verticals at the
+    # inner vertices 2..ne (row v-2) on every candidate
+    bot = ball_intervals(V[:-1, None], V[1:, None], starts[None], delta)
+    top = ball_intervals(V[:-1, None], V[1:, None], ends[None], delta)
+    vert = ball_intervals(starts[None], ends[None], V[1:-1, None], delta)
+    lo_glob = params[:-1, None] + bot.lo * widths[:, None]
+    hi_glob = params[:-1, None] + top.hi * widths[:, None]
+
     out: List[List[Interval]] = [[] for _ in range(N)]
-    for i in range(1, ne + 1):
-        start_ok = bot_ok[i - 1]
-        if not start_ok.any():
+    rows: dict = {}  # candidate -> its exact free-space row, for unsure windows
+    for i in range(ne):
+        b_holds, b_undecided = _nonempty(bot, i)
+        if not (b_holds | b_undecided).any():
             continue
-        lo_glob = params[i - 1] + bot_lo[i - 1] * widths[i - 1]
-        alive = start_ok.copy()
-        cur = np.zeros(N)
-        for j in range(i, min(i + MAX_WINDOW_EDGES - 1, ne) + 1):
-            if j > i:
-                k = j - 2  # vertical at vertex j
-                alive &= vert_ok[k]
-                cur = np.maximum(cur, vert_lo[k])
-                alive &= cur <= vert_hi[k]
-                if not alive.any():
-                    break
-            ok_ij = alive & top_ok[j - 1]
+        # window (i, j) crosses the inner vertices i..j-1, rows i..j-1 of vert
+        alive, unsure = _window_sweeps(vert, i, MAX_WINDOW_EDGES - 1)
+        for j in range(i, min(i + MAX_WINDOW_EDGES, ne)):
+            t_holds, t_undecided = _nonempty(top, j)
+            holds = b_holds & t_holds & alive[j - i]
+            undecided = b_undecided | t_undecided | unsure[j - i]
             if j == i:
-                ok_ij &= bot_lo[i - 1] <= top_hi[i - 1]
-            if not ok_ij.any():
-                continue
-            hi_glob = params[j - 1] + top_hi[j - 1] * widths[j - 1]
-            for idx in np.nonzero(ok_ij)[0]:
-                out[idx].append(Interval(float(lo_glob[idx]), float(hi_glob[idx])))
+                margin = top.hi[j] - bot.lo[i]
+                m_holds, m_undecided = filtered_nonneg(margin, bot.err[i] + top.err[j])
+                undecided |= holds & m_undecided
+                holds &= m_holds
+            dead = ~(b_holds | b_undecided) | ~(t_holds | t_undecided)
+            dead |= ~(alive[j - i] | unsure[j - i])
+            for idx in np.nonzero(holds)[0]:
+                out[idx].append(Interval(float(lo_glob[i, idx]), float(hi_glob[j, idx])))
+            for idx in np.nonzero(undecided & ~dead)[0]:
+                row = rows.get(idx)
+                if row is None:
+                    q = Segment(starts[idx], ends[idx])
+                    row = rows[idx] = FreeSpaceRow(S, 1, S.n, q, delta)
+                iv = _coverage_interval_on_row(row, i + 1, j + 1)
+                if not iv.is_empty():
+                    out[idx].append(iv)
+            if not ((b_holds | b_undecided) & (alive[j - i] | unsure[j - i])).any():
+                break
     return [merge_intervals(ivs) for ivs in out]
 
 
 def batch_feasible_mask(
     S: PolyCurve, t: EdgePoint, starts: np.ndarray, ends: np.ndarray, delta: float
 ) -> np.ndarray:
-    """is_feasible evaluated for many candidate segments at once."""
+    """``is_feasible`` evaluated for many candidate segments at once."""
     N = starts.shape[0]
-    dd = delta * delta
+    wins = window_set(S, t)
+    # the windows' cells are edges lo..hi-1, their inner vertices lo+1..hi-1
+    lo = min(i for i, _ in wins)
+    hi = max(j for _, j in wins)
+    V = S.vertices
+    bot = ball_intervals(V[lo - 1 : hi - 1, None], V[lo:hi, None], starts[None], delta)
+    top = ball_intervals(V[lo - 1 : hi - 1, None], V[lo:hi, None], ends[None], delta)
+    vert = ball_intervals(starts[None], ends[None], V[lo : hi - 1, None], delta)
     feas = np.zeros(N, dtype=bool)
-    pt = S.edge_point_coords(t)
-    vert_cache: dict = {}
-
-    def vertical(v: int):
-        got = vert_cache.get(v)
-        if got is None:
-            got = _ball_on_candidates(starts, ends, S.vertex(v), dd)
-            vert_cache[v] = got
-        return got
-
-    for (i, j) in window_set(S, t):
-        e_i = S.edge(i)
-        # bottom of cell i against candidate starts
-        okb, lob, _ = _ball_rows(e_i.start, e_i.end, starts, dd)
+    unsure = []  # (window, candidates) decided by the scalar path
+    for (i, j) in wins:
+        bi, tj = i - lo, j - 1 - lo
         su = float(_start_upper(t, i).value())
-        okb = okb & (lob <= su)
-        if not okb.any():
-            continue
-        e_j = S.edge(j - 1)
-        okt, _, hit = _ball_rows(e_j.start, e_j.end, ends, dd)
+        b_holds, b_undecided = filtered_nonneg(su - bot.lo[bi], bot.err[bi], bot.tight[bi])
         el = float(_end_lower(t, j - 1).value())
-        okt = okt & (hit >= el)
-        mask = okb & okt & ~feas
-        if not mask.any():
-            continue
-        cur = np.zeros(N)
-        alive = mask
-        for v in range(i + 1, j):
-            okv, lov, hiv = vertical(v)
-            alive = alive & okv
-            cur = np.maximum(cur, lov)
-            alive = alive & (cur <= hiv)
-            if not alive.any():
-                break
-        feas |= alive
+        t_holds, t_undecided = filtered_nonneg(top.hi[tj] - el, top.err[tj], top.tight[tj])
+        # inner vertices i+1..j-1 are rows i-lo..j-lo-2 of vert
+        alive, sweep_unsure = (a[-1] for a in _window_sweeps(vert, i - lo, j - i - 1))
+        dead = ~(b_holds | b_undecided) | ~(t_holds | t_undecided)
+        dead |= ~(alive | sweep_unsure)
+        feas |= b_holds & t_holds & alive
+        unsure.append(((i, j), np.nonzero((b_undecided | t_undecided | sweep_unsure) & ~dead)[0]))
+    for (i, j), idxs in unsure:
+        for idx in idxs[~feas[idxs]]:
+            feas[idx] = psi_ij_contains(S, i, j, t, Segment(starts[idx], ends[idx]), delta)
     return feas

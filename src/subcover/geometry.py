@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -300,7 +300,7 @@ def ball_segment_radical(p: np.ndarray, q: np.ndarray, r: np.ndarray, delta: flo
     v = q - p
     w = p - r
     aa = float(np.dot(v, v))
-    if aa == 0.0:
+    if 4.0 * aa * aa == 0.0:  # a point, or a segment so short that aa^2 underflows
         inside = float(np.dot(w, w)) <= delta * delta
         return RadInterval(ZERO, ONE) if inside else RadInterval.make_empty()
     bb = 2.0 * float(np.dot(v, w))
@@ -324,7 +324,7 @@ _POS_INF_RAD = Radical(1e300, 0.0, 1)
 
 def _quadratic_sublevel(aa: float, bb: float, cc: float) -> RadInterval:
     """{t : aa t^2 + bb t + cc <= 0} for aa >= 0 (constant and linear included)."""
-    if aa == 0.0:
+    if 4.0 * aa * aa == 0.0:  # linear, or so flat that aa^2 underflows
         if bb == 0.0:
             return RadInterval(_NEG_INF_RAD, _POS_INF_RAD) if cc <= 0 else RadInterval.make_empty()
         t0 = -cc / bb
@@ -456,3 +456,112 @@ def segment_segment_dist_sq(s1: Segment, s2: Segment) -> float:
         s = min(max((bdot - c) / a, 0.0), 1.0)
     diff = (p1 + s * d1) - (p2 + t * d2)
     return float(np.dot(diff, diff))
+
+
+# ---------------------------------------------------------------------------
+# filtered ball kernel
+#
+# ``ball_segment_radical`` is the contract: it decides emptiness and orders
+# endpoints exactly, given the float mid and rad of the quadratic.  The
+# kernel below evaluates the same clamped quadratic for whole arrays in
+# floats and reports, per entry, a bound ``err`` on the distance between its
+# float endpoints and the radical ones, plus a ``tight`` mask for entries
+# whose own decisions (the discriminant sign, lo <= 1 and 0 <= hi, which
+# together decide whether the clamped interval is empty) fall within that
+# bound.  Endpoints are compared in floats by ``filtered_nonneg``, which
+# treats a comparison whose margin is within the sum of the two entries'
+# ``err`` as undecided, and swept by ``filtered_sweep``; an undecided or
+# tight entry sends the whole decision to the radical path, so a filtered
+# result always equals the exact one (Shewchuk's filtered predicates, 1997).
+# These three functions are the only place the tolerance policy lives.
+#
+# The bound.  With segment p->q, centre r, v = q-p, w = p-r, both paths
+# compute v and w identically; they differ in how the dot products are
+# summed and in the order of the float operations after them.  Writing
+# T = (|w| + delta)/|v| + 1, which bounds |mid|, sqrt(rad) and the
+# constants 0 and 1 the endpoints are compared against, the float mid is
+# within c*u*T of the radical one and rad within c*u*T^2 (u = eps/2, c
+# about 4d + 16).  The root then differs by at most sqrt(c*u)*T, and by
+# c*u*T^2/sqrt(rad) away from tangency.  The radical predicates themselves
+# order two same-sign radicals only to about sqrt(3u)*T (their last step
+# squares a difference that cancels), so the tolerance is a multiple of
+# sqrt(eps): BALL_TOL*T covers both terms up to d in the thousands with
+# room to spare, and is still far below any margin a generic input has.
+
+BALL_TOL = 128.0 * math.sqrt(float(np.finfo(float).eps))
+
+
+class BallIntervals(NamedTuple):
+    """Float ball intervals with their error bound; empty is (+inf, -inf)."""
+
+    lo: np.ndarray  # clamped lower ends in [0, 1]
+    hi: np.ndarray  # clamped upper ends in [0, 1]
+    err: np.ndarray  # bound on |float endpoint - radical endpoint|
+    tight: np.ndarray  # emptiness undecided in floats: ask the radical path
+
+
+def ball_intervals(
+    starts: np.ndarray, ends: np.ndarray, centres: np.ndarray, delta: float
+) -> BallIntervals:
+    """{t in [0,1] : |p + t(q-p) - r| <= delta} for broadcast arrays of p, q, r.
+
+    ``starts``, ``ends`` and ``centres`` broadcast over their leading axes
+    and share the last (coordinate) axis; the result has the broadcast
+    leading shape.  Entries that are not tight decide emptiness exactly as
+    ``ball_segment_radical`` does; see the section comment for ``err``.
+    """
+    v = ends - starts
+    w = starts - centres
+    add = np.add.reduce
+    with np.errstate(divide="ignore", invalid="ignore"):
+        aa = add(v * v, axis=-1)
+        ww = add(w * w, axis=-1)
+        mid = add(v * w, axis=-1) / -aa
+        rad = mid * mid - (ww - delta * delta) / aa
+        root = np.sqrt(np.abs(rad))
+        lo = mid - root
+        hi = mid + root
+        # The entry is nonempty iff rad >= 0, lo <= 1 and hi >= 0; the
+        # smallest of the three margins (rad's as a signed root, so all are
+        # in segment-parameter units) decides, and is undecided within err.
+        # A degenerate segment (aa == 0) makes every margin NaN, and
+        # overflow makes it infinite: both are tight.
+        margin = np.fmin(np.copysign(root, rad), np.fmin(1.0 - lo, hi))
+        err = BALL_TOL * ((np.sqrt(ww) + delta) / np.sqrt(aa) + 1.0)
+        size = np.abs(margin)
+        tight = ~((size > err) & (size < np.inf))
+        ok = margin >= 0.0
+    lo = np.where(ok, np.maximum(lo, 0.0), np.inf)
+    hi = np.where(ok, np.minimum(hi, 1.0), -np.inf)
+    return BallIntervals(lo, hi, err, tight)
+
+
+def filtered_nonneg(margin: np.ndarray, slack: np.ndarray, tight: Optional[np.ndarray] = None):
+    """(holds, undecided) for the float test ``margin >= 0`` with error ``slack``.
+
+    ``holds`` marks entries where the test passes decisively, ``undecided``
+    those within ``slack`` of zero or marked ``tight``; the rest fail.
+    """
+    undecided = np.abs(margin) <= slack
+    if tight is not None:
+        undecided |= tight
+    return ~undecided & (margin >= 0.0), undecided
+
+
+def filtered_sweep(balls: BallIntervals, axis: int = -1):
+    """Monotone sweep across ball intervals along ``axis``, filtered.
+
+    A path that crosses the intervals in order with a nondecreasing segment
+    parameter exists iff the running maximum of the lower ends never passes
+    an upper end (``freespace._sweep_crossings`` is the exact version).
+    Returns cumulative masks (holds, undecided): ``holds[k]`` when crossings
+    0..k all hold decisively, ``undecided[k]`` when the first of them that
+    does not hold is undecided, so only the radical path can answer.  Where
+    neither is set the sweep fails decisively.
+    """
+    reach = np.maximum.accumulate(balls.lo, axis=axis)
+    slack = np.maximum.accumulate(balls.err, axis=axis) + balls.err
+    ok, undecided = filtered_nonneg(balls.hi - reach, slack, balls.tight)
+    failed = np.logical_or.accumulate(~(ok | undecided), axis=axis)
+    holds = np.logical_and.accumulate(ok, axis=axis)
+    return holds, np.logical_or.accumulate(undecided & ~failed, axis=axis)

@@ -24,7 +24,7 @@ from .coverage import (
     point_not_covered_from_intervals,
 )
 from .geometry import EdgePoint, Interval, PolyCurve
-from .simplify import simplify_curve
+from .simplify import Simplification, simplify_curve
 from .solver import CoverResult, SolverConfig, SolverFailure, _promote_single_vertex
 
 UpdateLog = List[EdgePoint]
@@ -345,18 +345,23 @@ def feasible_weight(
 
 
 def implicit_approx_cover(
-    P: PolyCurve, delta: float, cfg: SolverConfig = SolverConfig(variant="implicit")
+    P: PolyCurve,
+    delta: float,
+    cfg: SolverConfig = SolverConfig(variant="implicit"),
+    *,
+    simplification: Optional[Simplification] = None,
 ) -> CoverResult:
     """Cover search over the implicit grid distribution; 12*delta on the input.
 
     Works at radius 9*delta on the simplification (one extra delta pays for
     snapping candidates to the grid), with the distribution rebuilt from the
-    update log after every weight doubling.
+    update log after every weight doubling.  A precomputed simplification of
+    P at delta may be passed to skip simplifying again.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     P = _promote_single_vertex(P)
-    simp = simplify_curve(P, delta)
+    simp = simplification if simplification is not None else simplify_curve(P, delta)
     S = _promote_single_vertex(simp.curve)
     gamma = cfg.resolve_gamma(P.dim)
     rng = np.random.default_rng(cfg.rng_seed)

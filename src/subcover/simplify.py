@@ -6,6 +6,11 @@ edge stays within Frechet distance 3*delta of the subcurve it replaces,
 (iii) dropped prefix/suffix vertices stay within 3*delta of the boundary
 kept vertex, and (iv) no kept vertex can be skipped without the error
 growing past 2*delta.
+
+Shortcut decisions are filtered predicates (see ``geometry.ball_intervals``):
+they are decided in floats when every comparison clears its proven error
+bound, and by the radical-exact ``decide_frechet_subcurve_segment`` when one
+does not, so the kept indices are exactly those of the all-exact algorithm.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import List
 import numpy as np
 
 from .freespace import decide_frechet_subcurve_segment
-from .geometry import EdgePoint, PolyCurve, Segment
+from .geometry import EdgePoint, PolyCurve, Segment, ball_intervals, filtered_sweep
 
 
 @dataclass(frozen=True)
@@ -55,8 +60,26 @@ def _decide_between(P: PolyCurve, vi: int, vj: int, seg: Segment, delta: float) 
     return decide_frechet_subcurve_segment(P, a, b, seg, delta)
 
 
+def shortcut_holds(P: PolyCurve, j: int, i: int, delta: float) -> bool:
+    """``_decide_between(P, j, i, Segment(P_j, P_i), delta)``, filtered.
+
+    For j < i the shortcut holds iff the segment's ball intervals around the
+    skipped vertices j+1..i-1 admit a nondecreasing traversal.  One
+    ``ball_intervals`` call and one ``filtered_sweep`` decide that in
+    floats; the exact path runs only when the sweep stops at a vertex the
+    floats cannot decide, so the answer always equals the exact one.
+    """
+    if i - j < 2:
+        return True  # no vertex is skipped
+    V = P.vertices
+    holds, undecided = filtered_sweep(ball_intervals(V[j - 1], V[i - 1], V[j : i - 1], delta))
+    if holds[-1]:
+        return True
+    return bool(undecided[-1]) and _decide_between(P, j, i, Segment(V[j - 1], V[i - 1]), delta)
+
+
 def simplify_curve(P: PolyCurve, delta: float) -> Simplification:
-    """Stack-based simplification; exact shortcut decisions at threshold 2*delta.
+    """Stack-based simplification; shortcut decisions at threshold 2*delta.
 
     While the next-to-top kept vertex j admits a shortcut to the incoming
     vertex i (distance decision at 2*delta), the top is popped; i is then
@@ -69,17 +92,12 @@ def simplify_curve(P: PolyCurve, delta: float) -> Simplification:
         return _make_simplification(P, list(range(1, n + 1)))
     thresh = 2.0 * delta
     min_gap_sq = (delta / 3.0) ** 2
+    V = P.vertices
     stack: List[int] = [1]
     for i in range(2, n + 1):
-        pi = P.vertex(i)
-        while len(stack) >= 2:
-            j = stack[-2]
-            if _decide_between(P, j, i, Segment(P.vertex(j), pi), thresh):
-                stack.pop()
-            else:
-                break
-        top = P.vertex(stack[-1])
-        gap = pi - top
+        while len(stack) >= 2 and shortcut_holds(P, stack[-2], i, thresh):
+            stack.pop()
+        gap = V[i - 1] - V[stack[-1] - 1]
         if float(np.dot(gap, gap)) >= min_gap_sq:
             stack.append(i)
     return _make_simplification(P, stack)

@@ -184,13 +184,14 @@ class _CoverageCache:
         for i, ivs in zip(missing, got):
             self._known[int(i)] = ivs
 
-    def intervals_for(self, indices: np.ndarray) -> List[Interval]:
-        missing = [int(i) for i in np.unique(indices) if int(i) not in self._known]
+    def intervals_for(self, distinct: np.ndarray) -> List[Interval]:
+        """Coverage intervals of the given candidates, which must be distinct."""
+        missing = [i for i in distinct.tolist() if i not in self._known]
         if missing:
             self._fill(missing)
         out: List[Interval] = []
-        for i in np.unique(indices):
-            out.extend(self._known[int(i)])
+        for i in distinct.tolist():
+            out.extend(self._known[i])
         return out
 
 
@@ -227,10 +228,12 @@ def k_approx_cover(
         rounds += 1
         stats.rounds += 1
         idx = sample_indices(dist, k_prime, rng)
-        covered = cache.intervals_for(idx)
+        # the round's distinct draws in increasing order, in O(k' + |B|)
+        drawn = np.flatnonzero(np.bincount(idx, minlength=len(dist.candidates)))
+        covered = cache.intervals_for(drawn)
         witness = point_not_covered_from_intervals(S, covered)
         if witness is None:
-            centers = [dist.candidates[int(k)] for k in np.unique(idx)]
+            centers = [dist.candidates[k] for k in drawn.tolist()]
             return CoverResult(
                 centers=centers,
                 k_found=0,
@@ -249,9 +252,8 @@ def k_approx_cover(
             if check_invariants:
                 # each light update multiplies total weight by at most 1 + 1/r
                 bound = local_proper * math.log2(1.0 + 1.0 / r)
-                assert dist.log2_total() <= log2_initial_total + bound + 1e-6, (
-                    "weight growth bound violated"
-                )
+                if dist.log2_total() > log2_initial_total + bound + 1e-6:
+                    raise RuntimeError("weight growth bound violated")
     return None
 
 

@@ -4,8 +4,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import subcover.cli as cli
 from subcover.cli import ParseError, RunConfig, ingest, main, render_svg, run, write_curve
 from subcover.geometry import Interval, Segment, curve_from_points
+from subcover.solver import SolverFailure
 
 
 def write(tmp_path, name, text):
@@ -100,6 +102,20 @@ def test_main_exit_codes(tmp_path, capsys):
 
     code = main(["--input", str(tmp_path / "missing.txt"), "--delta", "1.0"])
     assert code == 2
+
+
+def test_failed_run_writes_report_with_diagnostics(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise SolverFailure("target size cap exceeded", {"max_k": 4, "rounds": 7})
+
+    monkeypatch.setattr(cli, "approx_cover", fail)
+    path = write(tmp_path, "f.txt", "\n".join(f"{x} 0" for x in np.linspace(0, 5, 6)))
+    out = tmp_path / "report.json"
+    assert main(["--input", path, "--delta", "1.0", "--out", str(out)]) == 1
+    data = json.loads(out.read_text())
+    assert data["verdict"] == "FAILED"
+    assert data["failure"] == "target size cap exceeded"
+    assert data["diagnostics"] == {"max_k": 4, "rounds": 7}
 
 
 def test_svg_well_formed_and_deterministic(tmp_path):

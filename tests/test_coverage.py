@@ -166,6 +166,50 @@ def test_batch_feasible_matches_scalar():
             assert mask[k] == is_feasible(Segment(starts[k], ends[k]), S, t, delta)
 
 
+def test_batch_coverage_tangent_vertical_matches_scalar():
+    # An implicit-solver centre whose start lies exactly 4.5 from vertex 2:
+    # its vertical interval there is [0, 0] in floats but empty under the
+    # radical test, so window (1, 2) must not be reported.
+    S = PolyCurve(
+        [
+            [0.027139890876531514, 0.08957143537672153],
+            [30.07840284882907, 0.027222320327493534],
+            [14.594218591858807, 25.36179659928705],
+            [0.20885270124231764, 0.6424031195908013],
+        ],
+        [0.0, 0.3377021317346654, 0.6797252176705028, 1.0],
+    )
+    q = Segment([27.73166324854101, 3.866859444905783], [17.562458313959418, 20.505286984745037])
+    scalar = candidate_coverage_intervals(S, q, 4.5)
+    (batch,) = batch_candidate_coverage(S, q.start[None], q.end[None], 4.5)
+    assert scalar[0].lo == pytest.approx(0.337702, abs=1e-6)
+    flat = lambda ivs: [x for iv in ivs for x in (iv.lo, iv.hi)]
+    assert flat(batch) == pytest.approx(flat(scalar), abs=1e-12)
+
+
+def test_batch_feasible_tangent_start_matches_scalar():
+    # A candidate from a lapped-square benchmark route whose start lies on
+    # the 8*delta sphere of a vertex; the float mask used to accept it.
+    S = PolyCurve(
+        [
+            [-0.076808429745681, -0.04463553118383933],
+            [9.993297195187841, 0.39038989339769214],
+            [9.287649083759634, 9.828427420299887],
+            [-0.047878927452760865, 9.556048705020952],
+            [0.09241865099802928, 0.7261839830289216],
+        ],
+        [0.0, 0.26803941879773013, 0.5285996111023364, 0.7715273432076695, 1.0],
+    )
+    t = EdgePoint(4, 0.7158190519435003)
+    starts = np.array(
+        [[-0.076808429745681, -0.04463553118383933], [0.21360778857282547, -0.03208964106263169]]
+    )
+    ends = np.array([[4.048275687674298, 0.13356681707871973]] * 2)
+    mask = batch_feasible_mask(S, t, starts, ends, 4.0)
+    assert mask.tolist() == [is_feasible(Segment(a, b), S, t, 4.0) for a, b in zip(starts, ends)]
+    assert not mask.any()
+
+
 def test_coverage_monotone_in_centers_and_delta():
     rng = np.random.default_rng(34)
     S = PolyCurve(np.cumsum(rng.normal(size=(6, 2)), axis=0))

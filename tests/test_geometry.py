@@ -9,9 +9,13 @@ from subcover.geometry import (
     PolyCurve,
     Segment,
     arclength_params,
+    BallIntervals,
+    ball_intervals,
     ball_segment_intersection,
+    ball_segment_radical,
     capsule_segment_intersection,
     curve_from_points,
+    filtered_sweep,
     point_segment_dist_sq,
     segment_segment_dist_sq,
 )
@@ -146,3 +150,64 @@ def test_locate_roundtrip():
     ep = P.locate(0.7)
     assert ep.edge_index == 2
     assert abs(P.edge_point_param(ep) - 0.7) < 1e-12
+
+
+def test_ball_intervals_decided_entries_match_radical():
+    rng = np.random.default_rng(21)
+    for d in (2, 3, 5):
+        starts = rng.normal(size=(40, 1, d)) * 3
+        ends = rng.normal(size=(40, 1, d)) * 3
+        centres = rng.normal(size=(1, 30, d)) * 3
+        delta = 1.5
+        balls = ball_intervals(starts, ends, centres, delta)
+        assert balls.lo.shape == balls.tight.shape == (40, 30)
+        for a in range(40):
+            for c in range(30):
+                exact = ball_segment_radical(starts[a, 0], ends[a, 0], centres[0, c], delta)
+                if balls.tight[a, c]:
+                    continue
+                assert exact.empty == (balls.lo[a, c] > balls.hi[a, c])
+                if not exact.empty:
+                    assert abs(balls.lo[a, c] - exact.lo.value()) <= balls.err[a, c]
+                    assert abs(balls.hi[a, c] - exact.hi.value()) <= balls.err[a, c]
+        assert balls.tight.mean() < 0.01
+
+
+def test_ball_intervals_flag_ties():
+    p = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    q = np.array([[2.0, 0.0], [1.0, 0.0], [0.0, 0.0], [2.0, 0.0]])
+    r = np.array([[1.0, 1.0], [-1.0, 0.0], [0.5, 0.0], [1.0, 3.0]])
+    balls = ball_intervals(p, q, r, 1.0)
+    # tangent line, ball touching only the start, degenerate segment, far away
+    assert balls.tight.tolist() == [True, True, True, False]
+    assert balls.lo[3] == math.inf and balls.hi[3] == -math.inf
+
+
+def test_filtered_sweep_stops_at_its_first_open_crossing():
+    inf = math.inf
+    # one row per case, crossings left to right; err 0.01 everywhere
+    lo = np.array(
+        [[0.1, 0.3, 0.5], [0.1, 0.6, 0.0], [0.1, 0.5, 0.2], [inf, 0.2, 0.3], [0.2, 0.2, 0.9]]
+    )
+    hi = np.array(
+        [[0.9, 0.8, 0.7], [0.9, 0.9, 0.5], [0.9, 0.505, 0.1], [-inf, 0.9, 0.9], [0.9, 0.9, 0.9]]
+    )
+    tight = np.zeros(lo.shape, dtype=bool)
+    tight[4, 1] = True
+    balls = BallIntervals(lo, hi, np.full(lo.shape, 0.01), tight)
+    holds, undecided = filtered_sweep(balls)
+    # holds; fails at the third (0.6 > 0.5); undecided at the second (0.505
+    # - 0.5 within 0.02), so the later decisive failure is not trusted;
+    # empty first interval; tight second interval
+    assert holds.tolist() == [
+        [True, True, True],
+        [True, True, False],
+        [True, False, False],
+        [False, False, False],
+        [True, False, False],
+    ]
+    assert undecided[:, -1].tolist() == [False, False, True, False, True]
+    assert undecided[2].tolist() == [False, True, True]
+    # the same along the other axis
+    T = BallIntervals(*(a.T for a in balls))
+    assert [m.T.tolist() for m in filtered_sweep(T, axis=0)] == [holds.tolist(), undecided.tolist()]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import subcover.implicit as implicit
 from subcover.coverage import covers_unit, feasible_rectangles
 from subcover.geometry import EdgePoint, PolyCurve, curve_from_points
 from subcover.implicit import (
@@ -194,3 +195,18 @@ def test_implicit_cover_zigzag():
     s = simplify_curve(P, 1.0)
     segs = res.center_segments(s.curve)
     assert oracle_covers(full_coverage(P, segs, 12.0))
+
+
+def test_implicit_cover_reuses_a_given_simplification(monkeypatch):
+    P = curve_from_points([(0, 0), (10, 0), (10, 8), (20, 8)])
+    cfg = SolverConfig(rng_seed=5, variant="implicit")
+    expected = implicit_approx_cover(P, 1.0, cfg)
+    simp = simplify_curve(P, 1.0)
+
+    def no_simplify(*args):
+        raise AssertionError("simplified again")
+
+    monkeypatch.setattr(implicit, "simplify_curve", no_simplify)
+    got = implicit_approx_cover(P, 1.0, cfg, simplification=simp)
+    assert got.centers == expected.centers
+    assert got.iterations == expected.iterations

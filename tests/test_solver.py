@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -110,6 +116,40 @@ def test_k_approx_cover_weights_double_until_sampled():
     res = k_approx_cover(S, d, r=4.0, delta_p=0.1, k_prime=1, i_max=400, rng=rng)
     assert res is not None
     assert any(c.beta == 1.0 for c in res.centers)
+
+
+def test_weight_growth_check_survives_python_O():
+    # The check must raise even when assertions are stripped.  A weight
+    # update that also doubles every weight breaks the growth bound.
+    code = textwrap.dedent(
+        """
+        import numpy as np
+        from subcover import solver
+        from subcover.candidates import Candidate
+        from subcover.geometry import curve_from_points
+        assert False, "assertions must be off"
+        real = solver.weight_update
+        solver.weight_update = lambda d, F: real(real(d, range(len(d.candidates))), F)
+        S = curve_from_points([(0, 0), (10, 0)])
+        B = [Candidate(1, 0.0, 0.1), Candidate(1, 0.05, 0.12), Candidate(1, 0.0, 1.0)]
+        d = solver.ExplicitDist(B, np.array([1e6, 1e6, 1.0]))
+        rng = np.random.default_rng(5)
+        try:
+            solver.k_approx_cover(S, d, r=4.0, delta_p=0.1, k_prime=1, i_max=400, rng=rng)
+        except RuntimeError as exc:
+            print("raised:", exc)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "raised: weight growth bound violated" in proc.stdout
 
 
 def test_approx_cover_single_segment():
