@@ -22,7 +22,13 @@ from .geometry import Interval, PolyCurve, Segment, arclength_params
 from .implicit import implicit_approx_cover
 from .oracle import covers_unit, full_coverage
 from .simplify import simplify_curve
-from .solver import SolverConfig, SolverFailure, approx_cover, greedy_max_coverage
+from .solver import (
+    SolverConfig,
+    SolverFailure,
+    _promote_single_vertex,
+    approx_cover,
+    greedy_max_coverage,
+)
 
 
 class ParseError(ValueError):
@@ -88,9 +94,7 @@ def run(config: RunConfig) -> dict:
     started = time.perf_counter()
     P = ingest(config.input_path)
     simp = simplify_curve(P, config.delta)
-    S = simp.curve if simp.curve.n >= 2 else PolyCurve(
-        np.vstack([simp.curve.vertices, simp.curve.vertices]), np.array([0.0, 1.0])
-    )
+    S = _promote_single_vertex(simp.curve)
     cfg = SolverConfig(
         gamma=config.gamma_override,
         rng_seed=config.seed,
@@ -138,6 +142,8 @@ def run(config: RunConfig) -> dict:
         report.update(
             {
                 "k_found": result.k_found,
+                "n_centers": len(result.centers),
+                "n_sampled": result.n_sampled,
                 "iterations": result.iterations,
                 "centers": [[seg.start.tolist(), seg.end.tolist()] for seg in centers],
                 "coverage": [[iv.lo, iv.hi] for iv in coverage],

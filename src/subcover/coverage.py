@@ -61,10 +61,6 @@ def covers_unit(ivs: Sequence[Interval], slack: float = 1e-9) -> bool:
     return len(merged) == 1 and merged[0].lo <= slack and merged[0].hi >= 1.0 - slack
 
 
-def coverage_measure(ivs: Sequence[Interval]) -> float:
-    return sum(iv.length() for iv in merge_intervals(ivs))
-
-
 def window_set(S: PolyCurve, t: EdgePoint) -> List[Tuple[int, int]]:
     """Vertex windows that can cover t: start edge within 3 left of t's edge,
     at most four edges long.  At most 10 windows."""

@@ -6,6 +6,11 @@ happens on whole rectangles of the candidate square, so the distribution is
 stored as an arrangement of cells with a doubling count per cell.  All
 weights are integers (powers of two times point counts), which keeps the
 distribution exact no matter how many updates occur.
+
+As in the explicit search, the cover returned is a greedy subset of the
+successful round's distinct draws (``solver.shrink_cover``), rechecked at
+the working radius 9*delta by the test that accepted the round; the
+12*delta guarantee on the input therefore holds for the subset too.
 """
 
 from __future__ import annotations
@@ -25,7 +30,13 @@ from .coverage import (
 )
 from .geometry import EdgePoint, Interval, PolyCurve
 from .simplify import Simplification, simplify_curve
-from .solver import CoverResult, SolverConfig, SolverFailure, _promote_single_vertex
+from .solver import (
+    CoverResult,
+    SolverConfig,
+    SolverFailure,
+    _promote_single_vertex,
+    shrink_cover,
+)
 
 UpdateLog = List[EdgePoint]
 
@@ -357,6 +368,11 @@ def implicit_approx_cover(
     snapping candidates to the grid), with the distribution rebuilt from the
     update log after every weight doubling.  A precomputed simplification of
     P at delta may be passed to skip simplifying again.
+
+    The returned centres are ``solver.shrink_cover``'s greedy subset of the
+    successful round's distinct draws, in sorted order.  The subset passes
+    the same 9*delta coverage test as the whole round, so the 12*delta
+    guarantee holds for it.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -393,16 +409,16 @@ def implicit_approx_cover(
             total_rounds += 1
             cands = arr.sample_candidates(k_prime, rng)
             uniq = sorted({(c.edge_index, c.alpha, c.beta) for c in cands})
-            covered = _coverage_of(S, uniq, delta_p, cov_cache)
-            witness = point_not_covered_from_intervals(S, covered)
+            per = _coverage_of(S, uniq, delta_p, cov_cache)
+            witness = point_not_covered_from_intervals(S, [iv for ivs in per for iv in ivs])
             if witness is None:
-                centers = [Candidate(e, a, b) for (e, a, b) in uniq]
                 return CoverResult(
-                    centers=centers,
+                    centers=[Candidate(*uniq[i]) for i in shrink_cover(S, per)],
                     k_found=k,
                     iterations=total_rounds,
                     delta_out=delta_p,
                     proper_iterations=len(arr.update_log),
+                    n_sampled=len(uniq),
                 )
             pr = arr.feasible_weight(witness)
             if pr <= 1.0 / r:
@@ -410,7 +426,8 @@ def implicit_approx_cover(
                 i += 1
 
 
-def _coverage_of(S, uniq, delta_p, cache):
+def _coverage_of(S, uniq, delta_p, cache) -> List[List[Interval]]:
+    """Coverage intervals of each grid candidate in uniq, filled into cache."""
     missing = [key for key in uniq if key not in cache]
     if missing:
         starts = np.empty((len(missing), S.dim))
@@ -422,7 +439,4 @@ def _coverage_of(S, uniq, delta_p, cache):
         got = batch_candidate_coverage(S, starts, ends, delta_p)
         for key, ivs in zip(missing, got):
             cache[key] = ivs
-    out: List[Interval] = []
-    for key in uniq:
-        out.extend(cache[key])
-    return out
+    return [cache[key] for key in uniq]

@@ -6,6 +6,14 @@ cover the simplification, the weights of every candidate able to cover a
 witness uncovered point are doubled (only when that feasible set is light,
 which keeps total weight growth in check).  A successful batch at working
 radius 8*delta on the simplification is an 11*delta cover of the input.
+
+The batch itself is not returned: ``shrink_cover`` picks a greedy subset of
+its distinct draws and stops as soon as that subset passes the same
+coverage test, ``point_not_covered_from_intervals``, that declared the batch
+a success.  So the 8*delta structured coverage, and with it the 11*delta
+guarantee, is rechecked on what is returned, not assumed; the sampling, the
+weights and the random stream are unchanged.  The greedy baseline,
+``greedy_max_coverage``, runs on the same array greedy, ``GreedyCore``.
 """
 
 from __future__ import annotations
@@ -18,12 +26,9 @@ import numpy as np
 
 from .candidates import Candidate, candidate_segments, candidate_set
 from .coverage import (
-    CoverageSet,
     batch_candidate_coverage,
     batch_feasible_mask,
     covers_unit,
-    coverage_measure,
-    merge_intervals,
     point_not_covered_from_intervals,
 )
 from .geometry import Interval, PolyCurve, Segment
@@ -134,6 +139,9 @@ class CoverResult:
     iterations: int
     delta_out: float
     proper_iterations: int = 0
+    # candidates the centres were picked from: the successful round's
+    # distinct draws, or the whole candidate set for the greedy baseline
+    n_sampled: int = 0
 
     def center_segments(self, S: PolyCurve) -> List[Segment]:
         return [c.segment(S) for c in self.centers]
@@ -184,15 +192,12 @@ class _CoverageCache:
         for i, ivs in zip(missing, got):
             self._known[int(i)] = ivs
 
-    def intervals_for(self, distinct: np.ndarray) -> List[Interval]:
-        """Coverage intervals of the given candidates, which must be distinct."""
+    def intervals_for(self, distinct: np.ndarray) -> List[List[Interval]]:
+        """Coverage intervals of each given candidate; the indices must be distinct."""
         missing = [i for i in distinct.tolist() if i not in self._known]
         if missing:
             self._fill(missing)
-        out: List[Interval] = []
-        for i in distinct.tolist():
-            out.extend(self._known[i])
-        return out
+        return [self._known[i] for i in distinct.tolist()]
 
 
 def k_approx_cover(
@@ -209,6 +214,9 @@ def k_approx_cover(
     check_invariants: bool = True,
 ) -> Optional[CoverResult]:
     """Sampling loop for one target size; None when i_max updates were spent.
+
+    On success the centres are ``shrink_cover``'s subset of the round's
+    distinct draws, in increasing candidate order.
 
     Proper iterations are the weight updates; sampling rounds whose feasible
     set is too heavy (probability above 1/r) do not count toward i_max.  A
@@ -230,16 +238,17 @@ def k_approx_cover(
         idx = sample_indices(dist, k_prime, rng)
         # the round's distinct draws in increasing order, in O(k' + |B|)
         drawn = np.flatnonzero(np.bincount(idx, minlength=len(dist.candidates)))
-        covered = cache.intervals_for(drawn)
-        witness = point_not_covered_from_intervals(S, covered)
+        per = cache.intervals_for(drawn)
+        witness = point_not_covered_from_intervals(S, [iv for ivs in per for iv in ivs])
         if witness is None:
-            centers = [dist.candidates[k] for k in drawn.tolist()]
+            keep = shrink_cover(S, per)
             return CoverResult(
-                centers=centers,
+                centers=[dist.candidates[k] for k in drawn[keep].tolist()],
                 k_found=0,
                 iterations=stats.rounds,
                 delta_out=delta_p,
                 proper_iterations=stats.proper,
+                n_sampled=len(drawn),
             )
         feas = batch_feasible_mask(S, witness, cache.starts, cache.ends, delta_p)
         fidx = np.nonzero(feas)[0]
@@ -327,6 +336,124 @@ def _promote_single_vertex(P: PolyCurve) -> PolyCurve:
     return PolyCurve(np.array([v, v]), np.array([0.0, 1.0]))
 
 
+# A marginal measure at most this large counts as no gain; it absorbs the
+# rounding of measures of at most 1.
+_GAIN_TOL = 1e-15
+
+
+class GreedyCore:
+    """Greedy maximum coverage over the candidates' merged coverage intervals.
+
+    Every candidate's intervals sit in flat arrays (owner, lo, hi), and the
+    covered union in sorted disjoint arrays with the covered length before
+    each of its intervals.  The covered length below x is then one
+    ``np.searchsorted`` away, so a step scores every candidate's marginal
+    measure at once: its length minus the covered length inside it.  Ties
+    follow a scan in index order in which a later candidate wins only by a
+    gain more than ``_GAIN_TOL`` larger.
+    """
+
+    def __init__(self, per: Sequence[Sequence[Interval]]):
+        self.n = len(per)
+        counts = [len(ivs) for ivs in per]
+        self.owner = np.repeat(np.arange(self.n), counts)
+        flat = [iv for ivs in per for iv in ivs]
+        self.lo = np.fromiter((iv.lo for iv in flat), float, len(flat))
+        self.hi = np.fromiter((iv.hi for iv in flat), float, len(flat))
+        self._offsets = np.concatenate([[0], np.cumsum(counts, dtype=int)])
+        self.chosen: List[int] = []
+        self._taken = np.zeros(self.n, dtype=bool)
+        # the union starts with a sentinel interval below every parameter
+        self._ulo = np.array([-1.0])
+        self._uhi = np.array([-1.0])
+        self._before = np.zeros(1)
+
+    def gains(self) -> np.ndarray:
+        """Marginal covered measure of every candidate; 0 for chosen ones."""
+        jl = np.searchsorted(self._ulo, self.lo, side="right") - 1
+        jh = np.searchsorted(self._ulo, self.hi, side="right") - 1
+        pl = np.minimum(self.lo, self._uhi[jl])
+        ph = np.minimum(self.hi, self._uhi[jh])
+        # within one union interval the difference is taken directly, so a
+        # covered interval gains exactly 0
+        inside = np.where(
+            jl == jh,
+            ph - pl,
+            (self._before[jh] + (ph - self._ulo[jh])) - (self._before[jl] + (pl - self._ulo[jl])),
+        )
+        g = np.bincount(self.owner, weights=(self.hi - self.lo) - inside, minlength=self.n)
+        g[self._taken] = 0.0
+        return g
+
+    def best(self) -> Optional[int]:
+        """The candidate adding the most measure, or None when none adds any."""
+        g = self.gains()
+        if g.max(initial=0.0) <= _GAIN_TOL:
+            return None
+        # No gain lying more than _GAIN_TOL below every larger one can sway
+        # the scan's pick, so the scan runs only over the gains above the
+        # first such drop in the sorted gains.
+        desc = np.sort(g)[::-1]
+        drop = np.flatnonzero(desc[:-1] - desc[1:] > _GAIN_TOL)
+        floor = desc[drop[0]] if drop.size else desc[-1]
+        pick, level = None, 0.0
+        for c in np.flatnonzero(g >= floor).tolist():
+            if g[c] > level + _GAIN_TOL:
+                pick, level = c, g[c]
+        return pick
+
+    def nearest(self, x: float) -> int:
+        """Lowest-index candidate not yet chosen with an interval nearest x."""
+        dist = np.maximum(np.maximum(self.lo - x, x - self.hi), 0.0)
+        dist[self._taken[self.owner]] = np.inf
+        if not np.isfinite(dist.min(initial=np.inf)):
+            raise ValueError("every candidate is chosen and the cover is still open")
+        return int(self.owner[np.argmin(dist)])
+
+    def add(self, c: int) -> None:
+        """Choose candidate c and merge its intervals into the covered union."""
+        self.chosen.append(c)
+        self._taken[c] = True
+        a, b = self._offsets[c], self._offsets[c + 1]
+        lo = np.concatenate([self._ulo, self.lo[a:b]])
+        hi = np.concatenate([self._uhi, self.hi[a:b]])
+        order = np.argsort(lo, kind="stable")
+        lo, hi = lo[order], hi[order]
+        reach = np.maximum.accumulate(hi)
+        # as in merge_intervals: an interval starting after everything
+        # before it has ended opens a new union interval
+        first = np.flatnonzero(np.concatenate([[True], lo[1:] > reach[:-1]]))
+        last = np.append(first[1:], lo.size) - 1
+        self._ulo, self._uhi = lo[first], reach[last]
+        self._before = np.concatenate([[0.0], np.cumsum(self._uhi - self._ulo)[:-1]])
+
+    def covered(self) -> List[Interval]:
+        """The covered union of the chosen candidates, sorted and disjoint."""
+        return [Interval(a, b) for a, b in zip(self._ulo[1:].tolist(), self._uhi[1:].tolist())]
+
+
+def shrink_cover(S: PolyCurve, per: Sequence[Sequence[Interval]]) -> List[int]:
+    """Ascending indices of a greedy subset of a covering sample that still covers S.
+
+    ``per`` holds each sampled candidate's merged coverage intervals, which
+    together pass ``point_not_covered_from_intervals``.  Candidates are
+    picked by marginal measure until the chosen ones pass that same test.
+    When none adds measure but a gap remains (one narrower than the gain
+    tolerance, which the test's gap slack does not close, as at 0 and 1),
+    the unchosen candidate nearest the test's witness point is added.  As
+    the whole sample passes the test, some unchosen candidate lies within
+    the gap slack of every point of the gap, and the loop ends after at most
+    one pick per candidate.
+    """
+    core = GreedyCore(per)
+    while True:
+        witness = point_not_covered_from_intervals(S, core.covered())
+        if witness is None:
+            return sorted(core.chosen)
+        pick = core.best()
+        core.add(pick if pick is not None else core.nearest(S.edge_point_param(witness)))
+
+
 def greedy_max_coverage(
     S: PolyCurve, B: Sequence[Candidate], delta: float, k_budget: int
 ) -> CoverResult:
@@ -338,27 +465,18 @@ def greedy_max_coverage(
     if k_budget < 1:
         raise ValueError("k_budget must be at least 1")
     starts, ends = candidate_segments(S, B)
-    per = batch_candidate_coverage(S, starts, ends, delta)
-    chosen: List[int] = []
-    covered: CoverageSet = []
+    core = GreedyCore(batch_candidate_coverage(S, starts, ends, delta))
     for _ in range(k_budget):
-        base = coverage_measure(covered)
-        best_gain, best_idx = 0.0, None
-        for idx, ivs in enumerate(per):
-            if idx in chosen or not ivs:
-                continue
-            gain = coverage_measure(covered + ivs) - base
-            if gain > best_gain + 1e-15:
-                best_gain, best_idx = gain, idx
-        if best_idx is None:
+        pick = core.best()
+        if pick is None:
             break
-        chosen.append(best_idx)
-        covered = merge_intervals(covered + per[best_idx])
-        if covers_unit(covered):
+        core.add(pick)
+        if covers_unit(core.covered()):
             break
     return CoverResult(
-        centers=[B[i] for i in chosen],
-        k_found=len(chosen),
-        iterations=len(chosen),
+        centers=[B[i] for i in core.chosen],
+        k_found=len(core.chosen),
+        iterations=len(core.chosen),
         delta_out=delta,
+        n_sampled=len(B),
     )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from subcover import candidates
 from subcover.candidates import (
     Candidate,
     GeneratingSubcurve,
@@ -54,6 +55,32 @@ def test_triples_grid_equals_brute():
         S = PolyCurve(pts)
         delta = float(rng.uniform(0.02, 0.6))
         assert generating_triples(S, delta, "grid") == generating_triples(S, delta, "brute")
+
+
+def test_triples_grid_equals_brute_in_high_dimension():
+    # the grid path would scan 3^12 neighbour cells per bucket
+    rng = np.random.default_rng(22)
+    S = PolyCurve(np.cumsum(rng.normal(size=(12, 12)), axis=0))
+    assert generating_triples(S, 0.5, "grid") == generating_triples(S, 0.5, "brute")
+    assert candidate_set(S, 0.5)
+
+
+def test_grid_scan_hands_over_to_brute_only_past_the_lookup_threshold(monkeypatch):
+    brute = candidates._close_edge_pairs_brute
+    calls = []
+
+    def counted(S, radius):
+        calls.append(S.dim)
+        return brute(S, radius)
+
+    monkeypatch.setattr(candidates, "_close_edge_pairs_brute", counted)
+    rng = np.random.default_rng(23)
+    high = PolyCurve(np.cumsum(rng.normal(size=(12, 12)), axis=0))
+    # a long walk in the plane, where the grid prunes most pairs
+    wide = PolyCurve(np.cumsum(rng.normal(size=(101, 2)) * 8.0, axis=0))
+    assert candidates._close_edge_pairs_grid(wide, 4.0) == brute(wide, 4.0)
+    assert candidates._close_edge_pairs_grid(high, 4.0) == brute(high, 4.0)
+    assert calls == [12]
 
 
 def test_triples_far_apart_filtered():

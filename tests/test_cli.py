@@ -83,6 +83,22 @@ def test_run_greedy_and_implicit_variants(tmp_path):
     assert im["guarantee_radius"] == pytest.approx(12.0)
 
 
+@pytest.mark.parametrize("variant", ["explicit", "implicit", "greedy"])
+def test_report_counts_returned_and_sampled_centers(tmp_path, variant):
+    path = write(tmp_path, "tri.txt", "0 0\n6 0\n3 5\n0 0\n6 0\n")
+    cfg = RunConfig(input_path=path, delta=0.5, variant=variant, verify=True, seed=3,
+                    gamma_override=1)
+    report = run(cfg)
+    assert report["verdict"] == "PASS" and report["schema"] == 1
+    assert report["n_centers"] == len(report["centers"]) >= 1
+    assert report["n_sampled"] >= report["n_centers"]
+    if variant == "greedy":
+        assert report["n_centers"] == report["k_found"]
+    else:
+        # even at gamma 1 a round draws far more than a cover needs
+        assert report["n_sampled"] > report["n_centers"]
+
+
 def test_run_bad_config():
     with pytest.raises(ValueError):
         RunConfig(input_path="x", delta=-1)

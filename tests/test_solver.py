@@ -6,20 +6,30 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from subcover.candidates import Candidate, candidate_set
-from subcover.coverage import covers_unit, structured_coverage
-from subcover.geometry import PolyCurve, Segment, curve_from_points
+from subcover.candidates import Candidate, candidate_segments, candidate_set
+from subcover.coverage import (
+    batch_candidate_coverage,
+    covers_unit,
+    merge_intervals,
+    point_not_covered_from_intervals,
+    structured_coverage,
+)
+from subcover.geometry import Interval, PolyCurve, Segment, curve_from_points
 from subcover.oracle import OracleBudget, covers_unit as oracle_covers, full_coverage, min_cover_exhaustive
 from subcover.simplify import simplify_curve
 from subcover.solver import (
     CoverResult,
     ExplicitDist,
+    GreedyCore,
     SolverConfig,
     approx_cover,
     greedy_max_coverage,
     k_approx_cover,
     sample,
+    shrink_cover,
     weight_update,
 )
 
@@ -226,3 +236,144 @@ def test_greedy_ties_break_to_lowest_index():
     B = [Candidate(1, 0.0, 0.5), Candidate(1, 0.5, 1.0)]
     res = greedy_max_coverage(S, B, 1e-6, 1)
     assert res.centers == [B[0]]
+
+
+def reference_greedy(per, k_budget):
+    """The greedy before ``GreedyCore``: rescans every candidate's union per step."""
+
+    def measure(ivs):
+        return sum(iv.length() for iv in merge_intervals(ivs))
+
+    chosen, covered = [], []
+    for _ in range(k_budget):
+        base = measure(covered)
+        best_gain, best_idx = 0.0, None
+        for idx, ivs in enumerate(per):
+            if idx in chosen or not ivs:
+                continue
+            gain = measure(covered + ivs) - base
+            if gain > best_gain + 1e-15:
+                best_gain, best_idx = gain, idx
+        if best_idx is None:
+            break
+        chosen.append(best_idx)
+        covered = merge_intervals(covered + per[best_idx])
+        if covers_unit(covered):
+            break
+    return chosen
+
+
+def assert_greedy_matches_reference(S, B, delta, k_budget):
+    starts, ends = candidate_segments(S, B)
+    want = reference_greedy(batch_candidate_coverage(S, starts, ends, delta), k_budget)
+    res = greedy_max_coverage(S, B, delta, k_budget)
+    assert res.centers == [B[i] for i in want]
+    return res
+
+
+def test_greedy_matches_reference_on_suite_curves():
+    rng = np.random.default_rng(30)
+    curves = [noisy_passes(rng, k_rep) for k_rep in (1, 2, 3)]
+    curves.append(curve_from_points([(0, 0), (2, 1), (4, 0), (6, 1), (8, 0), (10, 1)]))
+    curves.append(curve_from_points([(0, 0, 0), (3, 0, 1), (3, 3, 0), (0, 3, 1), (0, 0, 0)]))
+    for P in curves:
+        for delta in (0.3, 1.0):
+            S = simplify_curve(P, delta).curve
+            if S.n < 2:
+                continue
+            B = candidate_set(S, delta)
+            for budget in (1, 3, len(B)):
+                assert_greedy_matches_reference(S, B, 8.0 * delta, budget)
+
+
+def test_shrink_keeps_both_sides_of_a_sub_tolerance_gap():
+    # B alone leaves [0, 1e-17] open: A adds no measurable gain there, so
+    # only the witness step can close it.
+    S = curve_from_points([(0, 0), (10, 0)])
+    per = [[Interval(0.0, 0.5)], [Interval(1e-17, 1.0)]]
+    assert shrink_cover(S, per) == [0, 1]
+
+
+def test_shrink_closes_a_gap_with_a_point_interval_next_to_it():
+    # the point interval at 0 closes the gap only under the test's slack
+    S = curve_from_points([(0, 0), (10, 0)])
+    per = [[Interval(0.0, 0.0)], [Interval(1e-17, 1.0)], [Interval(0.2, 0.4)]]
+    assert shrink_cover(S, per) == [0, 1]
+
+
+def test_shrink_rejects_a_sample_that_does_not_cover():
+    S = curve_from_points([(0, 0), (10, 0)])
+    with pytest.raises(ValueError):
+        shrink_cover(S, [[Interval(0.0, 0.4)], [Interval(0.6, 1.0)]])
+
+
+def test_greedy_tie_rule_follows_the_index_order_scan():
+    # gains 1/8, 1/8 + 2^-50 and 1/8 + 2^-50 + 2^-51: the second is within
+    # the tolerance of the first and the third is not, so the scan in index
+    # order ends on the third, although the second is within the tolerance
+    # of the largest gain
+    extra = (0.0, 2.0**-50, 2.0**-50 + 2.0**-51)
+    per = [[Interval(lo, lo + 0.125 + e)] for lo, e in zip((0.0, 0.5, 0.75), extra)]
+    assert reference_greedy(per, 1) == [2]
+    assert GreedyCore(per).best() == 2
+
+
+def test_sampled_covers_are_subsets_of_the_sample():
+    rng = np.random.default_rng(31)
+    P = noisy_passes(rng, 3)
+    res = approx_cover(P, 1.0, SolverConfig(rng_seed=12, gamma=1))
+    assert 1 <= len(res.centers) < res.n_sampled
+    S = simplify_curve(P, 1.0).curve
+    assert covers_unit(structured_coverage(S, res.center_segments(S), 8.0))
+
+
+PROPERTY = settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+GRID = (0.0, 0.25, 0.5, 0.75, 1.0)  # shared parameters make tied gains common
+
+
+@st.composite
+def curves_and_candidates(draw):
+    """A curve on a half-integer lattice, a radius and grid-parameter candidates."""
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2, 6))
+    unit = st.integers(-6, 6).map(lambda k: 0.5 * k)
+    pts = np.array(draw(st.lists(st.lists(unit, min_size=d, max_size=d), min_size=n, max_size=n)))
+    assume(all(np.any(a != b) for a, b in zip(pts[:-1], pts[1:])))
+    S = PolyCurve(pts)
+    radius = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+    cand = st.builds(
+        Candidate, st.integers(1, S.num_edges), st.sampled_from(GRID), st.sampled_from(GRID)
+    )
+    B = draw(st.lists(cand, min_size=1, max_size=12))
+    return S, radius, B
+
+
+@PROPERTY
+@given(curves_and_candidates(), st.integers(1, 12))
+def test_greedy_matches_reference_on_generated_curves(scene, budget):
+    S, radius, B = scene
+    assert_greedy_matches_reference(S, B, radius, budget)
+
+
+@PROPERTY
+@given(curves_and_candidates(), st.randoms(use_true_random=False))
+def test_shrink_is_a_covering_subset_of_the_sample(scene, rnd):
+    S, radius, B = scene
+    # whole edges cover themselves, so the sample covers S
+    sample = B + [Candidate(e, 0.0, 1.0) for e in range(1, S.num_edges + 1)]
+    rnd.shuffle(sample)
+    starts, ends = candidate_segments(S, sample)
+    per = batch_candidate_coverage(S, starts, ends, radius)
+    assert point_not_covered_from_intervals(S, [iv for ivs in per for iv in ivs]) is None
+    keep = shrink_cover(S, per)
+    assert keep == sorted(set(keep)) and set(keep) <= set(range(len(sample)))
+    assert shrink_cover(S, per) == keep
+    assert point_not_covered_from_intervals(S, [iv for k in keep for iv in per[k]]) is None
+    centers = [sample[k].segment(S) for k in keep]
+    assert covers_unit(structured_coverage(S, centers, radius))
