@@ -16,11 +16,28 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .freespace import ExtremalPair, extremal_points
-from .geometry import PolyCurve, Segment, segment_segment_dist_sq
-from .radicals import Radical
+from .freespace import ExtremalPair, _slice_endpoint, extremal_points
+from .geometry import (
+    PolyCurve,
+    RadInterval,
+    Segment,
+    ball_segment_radical,
+    capsule_segment_radical,
+    segment_segment_dist_sq,
+)
+from .radicals import Radical, rad_max, rad_min
 
 MAX_SUBCURVE_SPAN = 4  # vertices forward from the start vertex
+
+
+def _uniform_edge_params(span: int) -> Tuple[List[float], List[float]]:
+    """(widths, start parameters) of the edges of a curve with span edges
+    under PolyCurve's default uniform vertex parameters."""
+    p = np.linspace(0.0, 1.0, span + 1)
+    return np.diff(p).tolist(), p[:-1].tolist()
+
+
+_SPAN_PARAMS = {m: _uniform_edge_params(m) for m in range(1, MAX_SUBCURVE_SPAN + 1)}
 
 
 @dataclass(frozen=True, order=True)
@@ -197,9 +214,11 @@ def candidate_set(
     Because every pair of subcurves near an edge forms a triple, the
     deduplicated candidates of one edge are exactly the cross product of the
     distinct start parameters with the distinct end parameters; the default
-    path builds that product without materializing the triples.  Duplicates
-    are removed by exact comparison of the radical-form parameters; output
-    is deterministically ordered.
+    path builds that product without materializing the triples, and takes
+    each subcurve's (s, t) from per-edge tables (``_EdgeTables``) instead of
+    one ``extremal_points`` call per subcurve.  Duplicates are removed by
+    exact comparison of the radical-form parameters; output is
+    deterministically ordered.
     """
     radius = 8.0 * delta
     if triples is not None:
@@ -213,20 +232,106 @@ def candidate_set(
     )
     close_subcurves = _close_subcurves_by_edge(S, pairs)
     out: List[Candidate] = []
+    edges = [S.edge(i) for i in range(1, S.num_edges + 1)]
     for e in range(1, S.num_edges + 1):
         s_vals: List[Radical] = []
         t_vals: List[Radical] = []
+        tables = _EdgeTables(S, edges, e, radius)
         for y in close_subcurves[e]:
-            ep = _extremal_for(S, e, y, radius)
-            if ep is None:
+            pair = tables.extremal(y)
+            if pair is None:
                 continue
-            s_vals.append(ep.s_rad)
-            t_vals.append(ep.t_rad)
+            s_vals.append(pair[0])
+            t_vals.append(pair[1])
         for s in _dedup_radicals(s_vals):
             sv = s.value()
             for t in _dedup_radicals(t_vals):
                 out.append(Candidate(e, sv, t.value()))
     return out
+
+
+class _EdgeTables:
+    """Free-space predicates of one edge of S against the curve, each
+    computed at most once.
+
+    ``extremal_points`` of a subcurve Y against the edge reads, per vertex
+    of Y, the edge's ball interval against it, and per edge of Y its capsule
+    interval with the two slice endpoints.  Subcurves through the same cells
+    share these, so they are kept per curve vertex and per curve edge.
+    """
+
+    def __init__(self, S: PolyCurve, edges: Sequence[Segment], edge: int, radius: float):
+        self.S = S
+        self.edges = edges  # the edges of S, in order
+        self.seg = edges[edge - 1]
+        self.radius = float(radius)
+        self._verts: Dict[int, RadInterval] = {}
+        self._single: Dict[int, bool] = {}
+        self._cells: Dict[int, Optional[Tuple[RadInterval, Radical, Radical]]] = {}
+
+    def vertical(self, v: int) -> RadInterval:
+        """Edge parameters within the radius of curve vertex v."""
+        iv = self._verts.get(v)
+        if iv is None:
+            iv = ball_segment_radical(self.seg.start, self.seg.end, self.S.vertex(v), self.radius)
+            self._verts[v] = iv
+        return iv
+
+    def single_cell_empty(self, c: int) -> bool:
+        """Whether no point of the edge is within the radius of curve edge c."""
+        empty = self._single.get(c)
+        if empty is None:
+            empty = capsule_segment_radical(self.edges[c - 1], self.seg, self.radius).empty
+            self._single[c] = empty
+        return empty
+
+    def cell(self, c: int) -> Optional[Tuple[RadInterval, Radical, Radical]]:
+        """Capsule interval of curve edge c about the edge, with the edge
+        parameters at its two ends (``_slice_endpoint``); None when empty."""
+        if c not in self._cells:
+            e = self.edges[c - 1]
+            cap = capsule_segment_radical(self.seg, e, self.radius)
+            if cap.empty:
+                self._cells[c] = None
+            else:
+                lo = _slice_endpoint(self.seg, e.at(cap.lo.value()), self.radius, want_lo=True)
+                hi = _slice_endpoint(self.seg, e.at(cap.hi.value()), self.radius, want_lo=False)
+                self._cells[c] = (cap, lo, hi)
+        return self._cells[c]
+
+    def extremal(self, y: GeneratingSubcurve) -> Optional[Tuple[Radical, Radical]]:
+        """(s_rad, t_rad) of ``extremal_points`` for the subcurve y against
+        the edge, by the same comparisons in the same order."""
+        first, last = y.start_vertex, y.end_vertex
+        inner = range(first + 1, last)
+        for v in inner:
+            if self.vertical(v).empty:
+                return None
+        if last - first == 1 and self.single_cell_empty(first):
+            return None
+        widths, offsets = _SPAN_PARAMS[last - first]
+        left_best = None  # (x, y) radical pair, x in the subcurve's parameter
+        right_best = None
+        for k, c in enumerate(range(first, last)):
+            cell = self.cell(c)
+            if cell is None:
+                continue
+            cap, lo, hi = cell
+            xl = cap.lo.affine(widths[k], offsets[k])
+            if left_best is None or xl.lt(left_best[0]) or (
+                xl.eq(left_best[0]) and lo.lt(left_best[1])
+            ):
+                left_best = (xl, lo)
+            xr = cap.hi.affine(widths[k], offsets[k])
+            if right_best is None or right_best[0].lt(xr) or (
+                xr.eq(right_best[0]) and right_best[1].lt(hi)
+            ):
+                right_best = (xr, hi)
+        if left_best is None or right_best is None:
+            return None
+        s = rad_min(left_best[1], *[self.vertical(v).hi for v in inner])
+        t = rad_max(right_best[1], *[self.vertical(v).lo for v in inner])
+        return s, t
 
 
 def _extremal_for(

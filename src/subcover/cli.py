@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -80,7 +79,6 @@ class RunConfig:
     output_json_path: Optional[str] = None
     output_svg_path: Optional[str] = None
     verify: bool = False
-    workers: int = 1
 
     def __post_init__(self):
         if self.delta <= 0:
@@ -99,7 +97,6 @@ def run(config: RunConfig) -> dict:
         gamma=config.gamma_override,
         rng_seed=config.seed,
         variant=config.variant,
-        workers=config.workers,
     )
     failure = None
     if config.variant == "implicit":
@@ -145,6 +142,7 @@ def run(config: RunConfig) -> dict:
                 "n_centers": len(result.centers),
                 "n_sampled": result.n_sampled,
                 "iterations": result.iterations,
+                "proper_updates": result.proper_iterations,
                 "centers": [[seg.start.tolist(), seg.end.tolist()] for seg in centers],
                 "coverage": [[iv.lo, iv.hi] for iv in coverage],
                 "verdict": verdict,
@@ -228,7 +226,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap.add_argument("--verify", action="store_true", help="check the cover on the input curve")
     args = ap.parse_args(argv)
 
-    workers = max(int(os.environ.get("SUBCOVER_THREADS", "1")), 1)
     config = RunConfig(
         input_path=args.input,
         delta=args.delta,
@@ -238,7 +235,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         output_json_path=args.out,
         output_svg_path=args.svg,
         verify=args.verify,
-        workers=workers,
     )
     try:
         report = run(config)

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .candidates import Candidate
+from .candidates import Candidate, candidate_segments
 from .coverage import (
     batch_candidate_coverage,
     feasible_rectangles,
@@ -39,6 +39,10 @@ from .solver import (
 )
 
 UpdateLog = List[EdgePoint]
+
+# Below this total weight a draw is one int64 uniform, and every grid
+# candidate number fits in an int64 too (each candidate weighs at least 1).
+_INT64_TOTAL = 2**62
 
 
 @dataclass(frozen=True)
@@ -154,6 +158,10 @@ class EdgeArrangement:
     stores how many updates contain it (the doubling exponent) and how many
     grid candidates it holds.  Cell weights and cumulative sums are exact
     integers.
+
+    Grid candidates are numbered edge by edge, then by start index, then by
+    end index; a draw is such a number, and ``candidate_at`` turns it into a
+    ``Candidate``.
     """
 
     def __init__(self, S: PolyCurve, delta: float, update_log: UpdateLog, feas_delta: float):
@@ -225,11 +233,29 @@ class EdgeArrangement:
                 acc += w
                 self._cum.append(acc)
         self._cell_index: List[Tuple[int, int, int]] = []
+        self._key_base: List[int] = []  # number of the first candidate of each edge
+        # per cell: number of its first candidate, grid size of its edge,
+        # end-index span and doubling exponent
+        first, row, span, shift = [], [], [], []
+        base = 0
         for e in range(ne):
-            nx, ny = len(self.xcuts[e]) - 1, len(self.ycuts[e]) - 1
-            for xi in range(nx):
-                for yi in range(ny):
+            xc, yc, sc = self.xcuts[e].tolist(), self.ycuts[e].tolist(), self.scount[e].tolist()
+            n = self.grids[e].size
+            self._key_base.append(base)
+            for xi in range(len(xc) - 1):
+                for yi in range(len(yc) - 1):
                     self._cell_index.append((e, xi, yi))
+                    first.append(base + xc[xi] * n + yc[yi])
+                    row.append(n)
+                    span.append(yc[yi + 1] - yc[yi])
+                    shift.append(sc[xi][yi])
+            base += n * n
+        self._cell_arrays = None
+        if total < _INT64_TOTAL:
+            cum = np.array(self._cum, dtype=np.int64)
+            self._cell_arrays = (cum, np.concatenate([[0], cum[:-1]])) + tuple(
+                np.array(a, dtype=np.int64) for a in (first, row, span, shift)
+            )
 
     def candidate_count(self) -> int:
         return sum(g.size * g.size for g in self.grids)
@@ -252,30 +278,33 @@ class EdgeArrangement:
     def sample_candidate(self, rng: np.random.Generator) -> Candidate:
         if self.total_weight <= 0:
             raise ValueError("empty distribution")
-        return self.sample_candidates(1, rng)[0]
+        return self.candidate_at(self.sample_candidates(1, rng)[0])
 
-    def sample_candidates(self, count: int, rng: np.random.Generator) -> List[Candidate]:
-        """Exact draws: integer uniform on [0, total), cell by cumulative sums,
-        then index arithmetic inside the cell."""
+    def sample_candidates(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """count exact draws, as candidate numbers.
+
+        An integer uniform on [0, total) picks a cell by the cumulative sums,
+        and index arithmetic inside the cell picks the candidate.  Below
+        ``_INT64_TOTAL`` this runs on int64 arrays; above it, one Python
+        integer per draw, returned as an object array.
+        """
         total = self.total_weight
-        if total < 2**62:
+        if self._cell_arrays is not None:
+            cum, start, first, row, span, shift = self._cell_arrays
             xs = rng.integers(0, total, size=count, dtype=np.int64)
-            cum = np.asarray(self._cum, dtype=np.int64)
             cells = np.searchsorted(cum, xs, side="right")
-            out = []
-            for x, ci in zip(xs.tolist(), cells.tolist()):
-                prev = 0 if ci == 0 else self._cum[ci - 1]
-                out.append(self._candidate_in_cell(ci, int(x) - prev))
-            return out
-        out = []
-        for _ in range(count):
+            j = (xs - start[cells]) >> shift[cells]  # a candidate owns 2^shift integers
+            return first[cells] + (j // span[cells]) * row[cells] + j % span[cells]
+        out = np.empty(count, dtype=object)
+        for k in range(count):
             x = _bigint_uniform(rng, total)
             ci = bisect_right(self._cum, x)
             prev = 0 if ci == 0 else self._cum[ci - 1]
-            out.append(self._candidate_in_cell(ci, x - prev))
+            out[k] = self._key_in_cell(ci, x - prev)
         return out
 
-    def _candidate_in_cell(self, ci: int, offset: int) -> Candidate:
+    def _key_in_cell(self, ci: int, offset: int) -> int:
+        """Number of the candidate at the given offset into cell ci's weight."""
         e, xi, yi = self._cell_index[ci]
         s = int(self.scount[e][xi, yi])
         j = offset >> s  # each candidate owns 2^s consecutive integers
@@ -283,7 +312,14 @@ class EdgeArrangement:
         span = yb - ya
         xj = int(self.xcuts[e][xi]) + j // span
         yj = ya + j % span
+        return self._key_base[e] + xj * self.grids[e].size + yj
+
+    def candidate_at(self, key: int) -> Candidate:
+        """The grid candidate with the given number."""
+        key = int(key)
+        e = bisect_right(self._key_base, key) - 1
         grid = self.grids[e]
+        xj, yj = divmod(key - self._key_base[e], grid.size)
         return Candidate(e + 1, grid.value(xj), grid.value(yj))
 
     def feasible_weight(self, t: EdgePoint, delta: Optional[float] = None) -> float:
@@ -384,7 +420,7 @@ def implicit_approx_cover(
     delta_p = 9.0 * delta
     base = build_structure(S, delta, [], feas_delta=delta_p)
     n_cand = base.candidate_count()
-    cov_cache: Dict[Tuple[int, float, float], List[Interval]] = {}
+    cov_cache: Dict[Candidate, List[Interval]] = {}
     total_rounds = 0
     k = 1
     while True:
@@ -407,18 +443,19 @@ def implicit_approx_cover(
         while i <= i_max and rounds < max_rounds:
             rounds += 1
             total_rounds += 1
-            cands = arr.sample_candidates(k_prime, rng)
-            uniq = sorted({(c.edge_index, c.alpha, c.beta) for c in cands})
-            per = _coverage_of(S, uniq, delta_p, cov_cache)
+            # the round's distinct draws, in (edge, alpha, beta) order
+            keys = np.unique(arr.sample_candidates(k_prime, rng))
+            drawn = [arr.candidate_at(key) for key in keys]
+            per = _coverage_of(S, drawn, delta_p, cov_cache)
             witness = point_not_covered_from_intervals(S, [iv for ivs in per for iv in ivs])
             if witness is None:
                 return CoverResult(
-                    centers=[Candidate(*uniq[i]) for i in shrink_cover(S, per)],
+                    centers=[drawn[i] for i in shrink_cover(S, per)],
                     k_found=k,
                     iterations=total_rounds,
                     delta_out=delta_p,
                     proper_iterations=len(arr.update_log),
-                    n_sampled=len(uniq),
+                    n_sampled=len(drawn),
                 )
             pr = arr.feasible_weight(witness)
             if pr <= 1.0 / r:
@@ -426,17 +463,11 @@ def implicit_approx_cover(
                 i += 1
 
 
-def _coverage_of(S, uniq, delta_p, cache) -> List[List[Interval]]:
-    """Coverage intervals of each grid candidate in uniq, filled into cache."""
-    missing = [key for key in uniq if key not in cache]
+def _coverage_of(S, drawn, delta_p, cache) -> List[List[Interval]]:
+    """Coverage intervals of each distinct grid candidate, filled into cache."""
+    missing = [c for c in drawn if c not in cache]
     if missing:
-        starts = np.empty((len(missing), S.dim))
-        ends = np.empty((len(missing), S.dim))
-        for idx, (e, a, b) in enumerate(missing):
-            edge = S.edge(e)
-            starts[idx] = edge.at(a)
-            ends[idx] = edge.at(b)
-        got = batch_candidate_coverage(S, starts, ends, delta_p)
-        for key, ivs in zip(missing, got):
-            cache[key] = ivs
-    return [cache[key] for key in uniq]
+        starts, ends = candidate_segments(S, missing)
+        for c, ivs in zip(missing, batch_candidate_coverage(S, starts, ends, delta_p)):
+            cache[c] = ivs
+    return [cache[c] for c in drawn]

@@ -7,13 +7,20 @@ witness uncovered point are doubled (only when that feasible set is light,
 which keeps total weight growth in check).  A successful batch at working
 radius 8*delta on the simplification is an 11*delta cover of the input.
 
+A round needs only which candidates its k' draws hit, so it draws the
+per-candidate counts from one multinomial (``sample_indices``), in time and
+memory linear in the number of candidates whatever k' is.  The counts have
+exactly the law of the histogram of k' independent draws, so the law of
+every round is that of k' separate draws; the random stream is not, and a
+seed picks different rounds than when each draw was taken on its own.
+
 The batch itself is not returned: ``shrink_cover`` picks a greedy subset of
 its distinct draws and stops as soon as that subset passes the same
 coverage test, ``point_not_covered_from_intervals``, that declared the batch
 a success.  So the 8*delta structured coverage, and with it the 11*delta
-guarantee, is rechecked on what is returned, not assumed; the sampling, the
-weights and the random stream are unchanged.  The greedy baseline,
-``greedy_max_coverage``, runs on the same array greedy, ``GreedyCore``.
+guarantee, is rechecked on what is returned, not assumed.  The greedy
+baseline, ``greedy_max_coverage``, runs on the same array greedy,
+``GreedyCore``.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ class SolverConfig:
     variant: str = "explicit"
     k_prime_override: Optional[int] = None
     check_invariants: bool = True
-    workers: int = 1  # read-only scans may be partitioned across threads
+    workers: int = 1  # ignored: the coverage fill runs in one thread
 
     def resolve_gamma(self, d: int) -> int:
         g = self.gamma if self.gamma is not None else default_gamma(d)
@@ -70,7 +77,7 @@ class SolverFailure(RuntimeError):
 
 @dataclass
 class ExplicitDist:
-    """Weighted candidate distribution with cumulative sums for sampling.
+    """Weighted candidate distribution.
 
     Weights are kept normalized; log2_scale records the factor divided out
     so the true total weight remains available for the growth invariant.
@@ -78,7 +85,7 @@ class ExplicitDist:
 
     candidates: List[Candidate]
     weights: np.ndarray
-    cumulative: np.ndarray = field(init=False)
+    total: float = field(init=False)
     log2_scale: float = 0.0
 
     def __post_init__(self):
@@ -86,15 +93,11 @@ class ExplicitDist:
             raise ValueError("empty candidate set")
         if np.any(self.weights <= 0):
             raise ValueError("weights must be positive")
-        self.cumulative = np.cumsum(self.weights)
+        self.total = float(self.weights.sum())
 
     @staticmethod
     def uniform(candidates: Sequence[Candidate]) -> "ExplicitDist":
         return ExplicitDist(list(candidates), np.ones(len(candidates)))
-
-    @property
-    def total(self) -> float:
-        return float(self.cumulative[-1])
 
     def log2_total(self) -> float:
         return math.log2(self.total) + self.log2_scale
@@ -120,16 +123,19 @@ def weight_update(dist: ExplicitDist, F: Sequence[int]) -> ExplicitDist:
 
 
 def sample(dist: ExplicitDist, count: int, rng: np.random.Generator) -> List[Candidate]:
-    """count independent draws by binary search on the cumulative sums."""
+    """count independent draws, listed in candidate order."""
     if count < 1:
         raise ValueError("count must be positive")
-    idx = sample_indices(dist, count, rng)
-    return [dist.candidates[i] for i in idx]
+    counts = sample_indices(dist, count, rng)
+    return [dist.candidates[i] for i in np.repeat(np.arange(counts.size), counts)]
 
 
 def sample_indices(dist: ExplicitDist, count: int, rng: np.random.Generator) -> np.ndarray:
-    u = rng.random(count) * dist.total
-    return np.searchsorted(dist.cumulative, u, side="right")
+    """How often each candidate is hit by count independent draws from dist.
+
+    One multinomial draw: O(|B|) time and memory, whatever count is.
+    """
+    return rng.multinomial(count, dist.weights / dist.total)
 
 
 @dataclass
@@ -154,41 +160,18 @@ class _LoopStats:
 
 
 class _CoverageCache:
-    """Per-candidate structured coverage intervals, filled in vectorized blocks.
+    """Per-candidate structured coverage intervals, filled in vectorized blocks."""
 
-    The fill is a read-only scan and may be partitioned across threads.
-    """
-
-    def __init__(
-        self, S: PolyCurve, starts: np.ndarray, ends: np.ndarray, delta: float, workers: int = 1
-    ):
+    def __init__(self, S: PolyCurve, starts: np.ndarray, ends: np.ndarray, delta: float):
         self.S = S
         self.starts = starts
         self.ends = ends
         self.delta = delta
-        self.workers = max(workers, 1)
         self._known: Dict[int, List[Interval]] = {}
 
     def _fill(self, missing: List[int]) -> None:
         midx = np.asarray(missing, dtype=int)
-        if self.workers > 1 and len(missing) > 64:
-            from concurrent.futures import ThreadPoolExecutor
-
-            chunks = np.array_split(midx, self.workers)
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                results = list(
-                    pool.map(
-                        lambda c: batch_candidate_coverage(
-                            self.S, self.starts[c], self.ends[c], self.delta
-                        ),
-                        [c for c in chunks if len(c)],
-                    )
-                )
-            got: List[List[Interval]] = []
-            for r in results:
-                got.extend(r)
-        else:
-            got = batch_candidate_coverage(self.S, self.starts[midx], self.ends[midx], self.delta)
+        got = batch_candidate_coverage(self.S, self.starts[midx], self.ends[midx], self.delta)
         for i, ivs in zip(missing, got):
             self._known[int(i)] = ivs
 
@@ -235,9 +218,8 @@ def k_approx_cover(
     while i <= i_max and rounds < max_rounds:
         rounds += 1
         stats.rounds += 1
-        idx = sample_indices(dist, k_prime, rng)
-        # the round's distinct draws in increasing order, in O(k' + |B|)
-        drawn = np.flatnonzero(np.bincount(idx, minlength=len(dist.candidates)))
+        # the round's distinct draws in increasing order
+        drawn = np.flatnonzero(sample_indices(dist, k_prime, rng))
         per = cache.intervals_for(drawn)
         witness = point_not_covered_from_intervals(S, [iv for ivs in per for iv in ivs])
         if witness is None:
@@ -290,7 +272,7 @@ def approx_cover(
     rng = np.random.default_rng(cfg.rng_seed)
     delta_p = 8.0 * delta
     starts, ends = candidate_segments(S, B)
-    cache = _CoverageCache(S, starts, ends, delta_p, workers=cfg.workers)
+    cache = _CoverageCache(S, starts, ends, delta_p)
     stats = _LoopStats()
     k = 1
     while True:

@@ -1,3 +1,4 @@
+import functools
 import json
 import xml.etree.ElementTree as ET
 
@@ -97,6 +98,40 @@ def test_report_counts_returned_and_sampled_centers(tmp_path, variant):
     else:
         # even at gamma 1 a round draws far more than a cover needs
         assert report["n_sampled"] > report["n_centers"]
+
+
+@pytest.mark.parametrize("variant", ["explicit", "implicit", "greedy"])
+def test_report_counts_proper_updates(tmp_path, monkeypatch, variant):
+    # a noisy triangle traversed twice; the CLI has no k' option, so k' is
+    # forced small to make rounds fail and weights double
+    corners = np.array([[0.0, 0.0], [30.0, 0.0], [15.0, 26.0]])
+    t = np.linspace(0.0, 6.0, 60, endpoint=False)
+    f = (t - np.floor(t))[:, None]
+    side = np.floor(t).astype(int) % 3
+    pts = (1.0 - f) * corners[side] + f * corners[(side + 1) % 3]
+    pts += np.random.default_rng(1).normal(0.0, 0.15, pts.shape)
+    path = str(tmp_path / "lap.txt")
+    write_curve(curve_from_points(pts), path)
+    forced = functools.partial(cli.SolverConfig, k_prime_override=4)
+    monkeypatch.setattr(cli, "SolverConfig", forced)
+    results = []
+
+    def recorded(solve):
+        def call(*args, **kwargs):
+            results.append(solve(*args, **kwargs))
+            return results[-1]
+
+        return call
+
+    for name in ("approx_cover", "implicit_approx_cover", "greedy_max_coverage"):
+        monkeypatch.setattr(cli, name, recorded(getattr(cli, name)))
+    report = run(RunConfig(input_path=path, delta=0.5, variant=variant, verify=True, seed=2))
+    assert report["verdict"] == "PASS"
+    assert report["proper_updates"] == results[0].proper_iterations
+    if variant == "greedy":
+        assert report["proper_updates"] == 0
+    else:
+        assert 0 < report["proper_updates"] <= report["iterations"]
 
 
 def test_run_bad_config():

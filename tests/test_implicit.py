@@ -1,7 +1,10 @@
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
 import subcover.implicit as implicit
+from subcover.candidates import Candidate
 from subcover.coverage import covers_unit, feasible_rectangles
 from subcover.geometry import EdgePoint, PolyCurve, curve_from_points
 from subcover.implicit import (
@@ -149,7 +152,7 @@ def test_sampler_uniform_tv_distance():
     size = arr.grids[0].size
     assert size == 5
     rng = np.random.default_rng(43)
-    draws = arr.sample_candidates(100_000, rng)
+    draws = [arr.candidate_at(key) for key in arr.sample_candidates(100_000, rng)]
     counts = {}
     for c in draws:
         key = (round(c.alpha, 9), round(c.beta, 9))
@@ -165,9 +168,59 @@ def test_sampler_respects_doubling():
     arr = build_structure(S, 2.0, [t], feas_delta=5.0)  # grid {0,1}^2, all feasible
     # every candidate doubled once: uniform again
     rng = np.random.default_rng(44)
-    draws = arr.sample_candidates(20_000, rng)
+    draws = [arr.candidate_at(key) for key in arr.sample_candidates(20_000, rng)]
     keys = {(c.alpha, c.beta) for c in draws}
     assert len(keys) == 4
+
+
+def reference_candidate_in_cell(arr, ci, offset):
+    """Reference for the sampler: one draw's offset into cell ci turned
+    into a Candidate by index arithmetic."""
+    e, xi, yi = arr._cell_index[ci]
+    j = offset >> int(arr.scount[e][xi, yi])
+    ya, yb = int(arr.ycuts[e][yi]), int(arr.ycuts[e][yi + 1])
+    xj = int(arr.xcuts[e][xi]) + j // (yb - ya)
+    yj = ya + j % (yb - ya)
+    grid = arr.grids[e]
+    return Candidate(e + 1, grid.value(xj), grid.value(yj))
+
+
+def reference_draws(arr, count, seed):
+    """Per-draw candidates from the same integer stream as the sampler."""
+    xs = np.random.default_rng(seed).integers(0, arr.total_weight, size=count, dtype=np.int64)
+    out = []
+    for x in xs.tolist():
+        ci = bisect_right(arr._cum, x)
+        out.append(reference_candidate_in_cell(arr, ci, x - (arr._cum[ci - 1] if ci else 0)))
+    return out
+
+
+def test_sampled_numbers_are_the_per_draw_candidates():
+    S = curve_from_points([(0, 0), (3, 0), (3, 2), (0.5, 1.5)])
+    log = []
+    for t in (EdgePoint(1, 0.3), EdgePoint(2, 0.7), EdgePoint(3, 0.0), EdgePoint(1, 0.3)):
+        arr = build_structure(S, 0.35, log, feas_delta=1.2)
+        for seed in (7, 8):
+            keys = arr.sample_candidates(3000, np.random.default_rng(seed))
+            assert keys.dtype == np.int64
+            assert [arr.candidate_at(k) for k in keys] == reference_draws(arr, 3000, seed)
+        log.append(t)  # the next arrangement has one more update
+
+
+def test_bigint_draws_follow_the_per_draw_arithmetic(monkeypatch):
+    # past the int64 threshold each draw is one Python integer
+    S = curve_from_points([(0, 0), (3, 0), (3, 2)])
+    monkeypatch.setattr(implicit, "_INT64_TOTAL", 1)
+    arr = build_structure(S, 0.5, [EdgePoint(1, 0.5), EdgePoint(2, 0.25)], feas_delta=1.0)
+    keys = arr.sample_candidates(500, np.random.default_rng(9))
+    assert keys.dtype == object
+    rng = np.random.default_rng(9)
+    want = []
+    for _ in range(500):
+        x = implicit._bigint_uniform(rng, arr.total_weight)
+        ci = bisect_right(arr._cum, x)
+        want.append(reference_candidate_in_cell(arr, ci, x - (arr._cum[ci - 1] if ci else 0)))
+    assert [arr.candidate_at(k) for k in keys] == want
 
 
 def test_sample_single_candidate_grid():

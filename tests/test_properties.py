@@ -1,15 +1,25 @@
-"""Property tests: the filtered float paths against the radical-exact contract.
+"""Property tests: the filtered float paths against the radical-exact contract,
+and the per-edge candidate tables against one extremal_points call per
+subcurve.
 
 Curves come in dimensions 2, 3 and 5, with coincident non-adjacent vertices
 and grid-snapped coordinates; delta ranges over 1e-6..1e3 and the geometry
 is drawn in units of delta.  Snapped curves use a power-of-two delta, so
-that distances of exactly delta (tangencies) are common.
+that distances of exactly delta (tangencies) are common.  Lapped routes
+retrace a closed polygon 2 or 3 times, so many subcurves share cells.
 """
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from subcover.candidates import (
+    Candidate,
+    _close_edge_pairs_brute,
+    _close_subcurves_by_edge,
+    _dedup_radicals,
+    candidate_set,
+)
 from subcover.coverage import (
     batch_candidate_coverage,
     batch_feasible_mask,
@@ -17,7 +27,7 @@ from subcover.coverage import (
     is_feasible,
     merge_intervals,
 )
-from subcover.freespace import decide_frechet_subcurve_segment
+from subcover.freespace import decide_frechet_subcurve_segment, extremal_points
 from subcover.geometry import EdgePoint, PolyCurve, Segment
 from subcover.simplify import _decide_between, shortcut_holds, simplify_curve
 
@@ -138,3 +148,67 @@ def test_batch_feasible_mask_equals_scalar(scene, on_edges, factor, edge, local)
     mask = batch_feasible_mask(S, t, starts, ends, radius)
     for k in range(len(starts)):
         assert mask[k] == is_feasible(Segment(starts[k], ends[k]), S, t, radius), k
+
+
+def reference_candidate_set(S: PolyCurve, delta: float) -> list:
+    """Reference for candidate_set: one extremal_points call, with its own
+    subcurve and free-space row, per close subcurve."""
+    radius = 8.0 * delta
+    close = _close_subcurves_by_edge(S, _close_edge_pairs_brute(S, radius))
+    out = []
+    for e in range(1, S.num_edges + 1):
+        s_vals, t_vals = [], []
+        for y in close[e]:
+            sub = PolyCurve(S.vertices[y.start_vertex - 1 : y.end_vertex])
+            ep = extremal_points(sub, S.edge(e), radius)
+            if ep is not None:
+                s_vals.append(ep.s_rad)
+                t_vals.append(ep.t_rad)
+        for s in _dedup_radicals(s_vals):
+            for t in _dedup_radicals(t_vals):
+                out.append(Candidate(e, s.value(), t.value()))
+    return out
+
+
+def _bits(cands) -> list:
+    return [(c.edge_index, c.alpha.hex(), c.beta.hex()) for c in cands]
+
+
+@st.composite
+def lapped_routes(draw):
+    """(simplified curve, delta) of a closed polygon with corners on the
+    delta lattice, traversed 2 or 3 times, with or without noise."""
+    d = draw(st.sampled_from([2, 3, 5]))
+    delta = 10.0 ** draw(st.floats(-6.0, 3.0))
+    coord = st.integers(-12, 12).map(float)
+    corner = st.lists(coord, min_size=d, max_size=d)
+    corners = np.array(draw(st.lists(corner, min_size=3, max_size=5)))
+    laps = draw(st.integers(2, 3))
+    per_side = draw(st.integers(1, 4))
+    noise = draw(st.sampled_from([0.0, 0.05, 0.3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    ring = np.vstack([corners, corners[:1]])
+    f = np.arange(per_side)[:, None] / per_side
+    side = [(1.0 - f) * a + f * b for a, b in zip(ring[:-1], ring[1:])]
+    pts = np.vstack([np.vstack(side)] * laps + [corners[:1]])
+    pts = pts + rng.normal(0.0, noise, size=pts.shape) * (np.arange(len(pts)) > 0)[:, None]
+    S = simplify_curve(PolyCurve(pts * delta), delta).curve
+    assume(S.n >= 2)
+    return S, delta
+
+
+@PROPERTY
+@given(scenes(max_n=9))
+def test_candidate_tables_equal_per_subcurve_extremal_points(scene):
+    P, delta, _ = scene
+    # spread over 32*delta, so that at radius 8*delta some pieces are out of
+    # reach and snapped vertices are often exactly at the radius
+    S = PolyCurve(4.0 * P.vertices)
+    assert _bits(candidate_set(S, delta)) == _bits(reference_candidate_set(S, delta))
+
+
+@PROPERTY
+@given(lapped_routes())
+def test_candidate_tables_equal_per_subcurve_extremal_points_on_lapped_routes(route):
+    S, delta = route
+    assert _bits(candidate_set(S, delta)) == _bits(reference_candidate_set(S, delta))

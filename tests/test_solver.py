@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from subcover.solver import (
     greedy_max_coverage,
     k_approx_cover,
     sample,
+    sample_indices,
     shrink_cover,
     weight_update,
 )
@@ -98,6 +100,35 @@ def test_sample_weighted_ratio():
     draws = sample(d, 50_000, rng)
     p1 = sum(1 for c in draws if c is cands[1]) / 50_000
     assert p1 == pytest.approx(0.75, abs=0.01)
+
+
+def test_round_inclusion_frequencies_match_independent_draws():
+    # a candidate is among a round's distinct draws with probability
+    # 1 - (1 - p)^k' when the k' draws are independent
+    rng = np.random.default_rng(5)
+    weights = np.array([0.5, 1.0, 2.0, 4.0, 8.0, 24.5])
+    d = ExplicitDist([Candidate(1, 0.0, x) for x in np.linspace(0.1, 1.0, 6)], weights)
+    k_prime, rounds = 5, 20_000
+    hits = np.zeros(len(weights))
+    for _ in range(rounds):
+        hits[np.flatnonzero(sample_indices(d, k_prime, rng))] += 1
+    q = 1.0 - (1.0 - weights / weights.sum()) ** k_prime
+    sigma = np.sqrt(q * (1.0 - q) / rounds)
+    assert np.all(np.abs(hits / rounds - q) <= 4.0 * sigma)
+
+
+def test_round_memory_does_not_grow_with_the_draw_count():
+    d = ExplicitDist([Candidate(1, 0.0, x) for x in (0.25, 0.5, 1.0)], np.array([1.0, 2.0, 3.0]))
+    rng = np.random.default_rng(6)
+    tracemalloc.start()
+    try:
+        counts = sample_indices(d, 10**12, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.shape == (3,) and int(counts.sum()) == 10**12
+    assert np.flatnonzero(counts).tolist() == [0, 1, 2]
+    assert peak < 10**6
 
 
 def test_k_approx_cover_trivial_single_candidate():
