@@ -91,8 +91,10 @@ def run(config: RunConfig) -> dict:
     """End-to-end pipeline; returns the report dictionary."""
     started = time.perf_counter()
     P = ingest(config.input_path)
+    ingested = time.perf_counter()
     simp = simplify_curve(P, config.delta)
     S = _promote_single_vertex(simp.curve)
+    simplified = time.perf_counter()
     cfg = SolverConfig(
         gamma=config.gamma_override,
         rng_seed=config.seed,
@@ -115,6 +117,13 @@ def run(config: RunConfig) -> dict:
             result = approx_cover(P, config.delta, cfg, simplification=simp)
         except SolverFailure as exc:
             failure, result = exc, None
+    solved = time.perf_counter()
+    # wall time per pipeline stage; a run whose solver failed has no verify stage
+    stage_s = {
+        "ingest": ingested - started,
+        "simplify": simplified - ingested,
+        "solve": solved - simplified,
+    }
 
     report = {
         "schema": 1,
@@ -148,6 +157,8 @@ def run(config: RunConfig) -> dict:
                 "verdict": verdict,
             }
         )
+        stage_s["verify"] = time.perf_counter() - solved
+    report["stage_s"] = stage_s
     report["wall_time_s"] = time.perf_counter() - started
 
     if config.output_json_path:

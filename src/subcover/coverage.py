@@ -24,6 +24,7 @@ from .freespace import (
     psi_ij_contains,
 )
 from .geometry import (
+    BLOCK_ENTRIES,
     BallIntervals,
     EdgePoint,
     Interval,
@@ -295,10 +296,6 @@ def feasible_rectangles(S: PolyCurve, t: EdgePoint, edge: int, delta: float) -> 
 # Ties are common, not rare: candidate endpoints are extremal points of the
 # same radius, so their balls often touch a cell at a single point.
 
-# Window-table entries (edges x candidates) per block of candidates; bounds
-# the memory of the broadcast kernel calls.
-_BLOCK_ENTRIES = 1 << 16
-
 
 def _nonempty(balls: BallIntervals, k: int):
     """(holds, undecided) for row k of the intervals being nonempty."""
@@ -323,7 +320,8 @@ def batch_candidate_coverage(
     S: PolyCurve, starts: np.ndarray, ends: np.ndarray, delta: float
 ) -> List[List[Interval]]:
     """``candidate_coverage_intervals`` for many candidate segments at once."""
-    step = max(_BLOCK_ENTRIES // max(S.num_edges, 1), 1)
+    # window-table entries (edges x candidates) per block of candidates
+    step = max(BLOCK_ENTRIES // max(S.num_edges, 1), 1)
     out: List[List[Interval]] = []
     for k in range(0, starts.shape[0], step):
         out.extend(_coverage_block(S, starts[k : k + step], ends[k : k + step], delta))

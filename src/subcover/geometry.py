@@ -116,6 +116,15 @@ class Segment:
         if self.start.shape != self.end.shape:
             raise ValueError("segment endpoints must share a dimension")
 
+    @classmethod
+    def _unchecked(cls, start: np.ndarray, end: np.ndarray) -> "Segment":
+        """A segment on endpoints already known to be finite, flat and of
+        one dimension, such as two vertices of a ``PolyCurve``."""
+        seg = object.__new__(cls)
+        object.__setattr__(seg, "start", start)
+        object.__setattr__(seg, "end", end)
+        return seg
+
     def direction(self) -> np.ndarray:
         return self.end - self.start
 
@@ -199,7 +208,7 @@ class PolyCurve:
     def edge(self, i: int) -> Segment:
         if not 1 <= i <= self.num_edges:
             raise IndexError(f"edge index {i} out of range 1..{self.num_edges}")
-        return Segment(self.vertices[i - 1], self.vertices[i])
+        return Segment._unchecked(self.vertices[i - 1], self.vertices[i])
 
     def edge_width(self, i: int) -> float:
         return float(self.vertex_params[i] - self.vertex_params[i - 1])
@@ -489,6 +498,10 @@ def segment_segment_dist_sq(s1: Segment, s2: Segment) -> float:
 # room to spare, and is still far below any margin a generic input has.
 
 BALL_TOL = 128.0 * math.sqrt(float(np.finfo(float).eps))
+
+# Entries per broadcast ``ball_intervals`` call that its batching callers
+# aim for; bounds the memory of the kernel's temporaries.
+BLOCK_ENTRIES = 1 << 16
 
 
 class BallIntervals(NamedTuple):

@@ -11,17 +11,29 @@ Shortcut decisions are filtered predicates (see ``geometry.ball_intervals``):
 they are decided in floats when every comparison clears its proven error
 bound, and by the radical-exact ``decide_frechet_subcurve_segment`` when one
 does not, so the kept indices are exactly those of the all-exact algorithm.
+They are decided a window per anchor: the stack loop asks each anchor about
+targets in increasing order, so one kernel call answers a block of targets
+at once (``ShortcutBlocks``), and the kernel's fixed cost is paid per block
+rather than per shortcut.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List
 
 import numpy as np
 
 from .freespace import decide_frechet_subcurve_segment
-from .geometry import EdgePoint, PolyCurve, Segment, ball_intervals, filtered_sweep
+from .geometry import (
+    BLOCK_ENTRIES,
+    EdgePoint,
+    PolyCurve,
+    Segment,
+    ball_intervals,
+    filtered_sweep,
+)
 
 
 @dataclass(frozen=True)
@@ -29,28 +41,6 @@ class Simplification:
     source: PolyCurve
     indices: tuple  # strictly increasing 1-based vertex indices of source
     curve: PolyCurve  # vertices at those indices, params rescaled to [0,1]
-
-    def container(self, s: float, t: float) -> tuple:
-        """Smallest kept-vertex index pair whose parameter span encloses [s, t].
-
-        Returned in source vertex indices.
-        """
-        if s > t:
-            s, t = t, s
-        params = self.source.vertex_params
-        lo = self.indices[0]
-        for i in self.indices:
-            if params[i - 1] <= s:
-                lo = i
-            else:
-                break
-        hi = self.indices[-1]
-        for i in reversed(self.indices):
-            if params[i - 1] >= t:
-                hi = i
-            else:
-                break
-        return (lo, hi)
 
 
 def _decide_between(P: PolyCurve, vi: int, vj: int, seg: Segment, delta: float) -> bool:
@@ -60,22 +50,87 @@ def _decide_between(P: PolyCurve, vi: int, vj: int, seg: Segment, delta: float) 
     return decide_frechet_subcurve_segment(P, a, b, seg, delta)
 
 
-def shortcut_holds(P: PolyCurve, j: int, i: int, delta: float) -> bool:
-    """``_decide_between(P, j, i, Segment(P_j, P_i), delta)``, filtered.
+class _Block:
+    """One anchor's answers for the targets first..first+len(holds)-1."""
+
+    __slots__ = ("first", "holds", "undecided", "asked")
+
+    def __init__(self, first: int, holds: list, undecided: list):
+        self.first = first
+        self.holds = holds
+        self.undecided = undecided
+        self.asked = 0  # targets of the block queried so far
+
+    def next_width(self, i: int) -> int:
+        """Width of the refill at target i: twice this one if the queries
+        asked every target in turn and continue at i, else the number asked."""
+        w = len(self.holds)
+        return 2 * w if self.asked == w and i == self.first + w else self.asked
+
+
+class ShortcutBlocks:
+    """Shortcut decisions ``_decide_between(P, j, i, Segment(P_j, P_i), delta)``
+    for one curve, filtered and computed a block of targets per anchor.
 
     For j < i the shortcut holds iff the segment's ball intervals around the
-    skipped vertices j+1..i-1 admit a nondecreasing traversal.  One
-    ``ball_intervals`` call and one ``filtered_sweep`` decide that in
-    floats; the exact path runs only when the sweep stops at a vertex the
-    floats cannot decide, so the answer always equals the exact one.
+    skipped vertices j+1..i-1 admit a nondecreasing traversal.  A miss for
+    (j, i) makes one ``ball_intervals`` call for the segments from P_j to the
+    targets i..i+w-1 against the vertices j+1..i+w-2 and sweeps each row
+    along the skipped axis; the sweep is cumulative, so target t reads its
+    answer at column t-j-2 and the later columns need no mask.  A target
+    whose sweep stops at a vertex the floats cannot decide goes to the exact
+    path, so every answer equals the exact one.
+
+    The first block of an anchor has ``FIRST_WIDTH`` targets.  A refill for
+    the same anchor doubles the width while the stack loop asks every target
+    of the previous block in turn, and otherwise takes as many targets as it
+    asked: where the spacing filter drops vertices, as in a dense cloud, the
+    loop skips targets, and long rows of unasked targets would be most of
+    the work.  Every call stays within ``BLOCK_ENTRIES`` kernel entries, or
+    is one target.
     """
-    if i - j < 2:
-        return True  # no vertex is skipped
-    V = P.vertices
-    holds, undecided = filtered_sweep(ball_intervals(V[j - 1], V[i - 1], V[j : i - 1], delta))
-    if holds[-1]:
-        return True
-    return bool(undecided[-1]) and _decide_between(P, j, i, Segment(V[j - 1], V[i - 1]), delta)
+
+    FIRST_WIDTH = 8
+
+    def __init__(self, P: PolyCurve, delta: float):
+        self.P = P
+        self.delta = delta
+        self._blocks: dict = {}  # anchor -> _Block
+
+    def holds(self, j: int, i: int) -> bool:
+        if i - j < 2:
+            return True  # no vertex is skipped
+        block = self._blocks.get(j)
+        if block is None or not 0 <= i - block.first < len(block.holds):
+            width = self.FIRST_WIDTH if block is None else block.next_width(i)
+            block = self._blocks[j] = self._refill(j, i, width)
+        block.asked += 1
+        k = i - block.first
+        if block.holds[k]:
+            return True
+        V = self.P.vertices
+        return block.undecided[k] and _decide_between(
+            self.P, j, i, Segment(V[j - 1], V[i - 1]), self.delta
+        )
+
+    def discard(self, j: int) -> None:
+        """Forget anchor j's block; the stack loop calls it when j is popped."""
+        self._blocks.pop(j, None)
+
+    def _refill(self, j: int, i: int, width: int) -> _Block:
+        V = self.P.vertices
+        skipped = i - j - 2  # column of target i, one less than its skipped count
+        fit = (math.isqrt(skipped * skipped + 4 * BLOCK_ENTRIES) - skipped) // 2
+        w = max(min(width, fit, self.P.n - i + 1), 1)
+        balls = ball_intervals(V[j - 1], V[i - 1 : i - 1 + w, None], V[j : i + w - 2], self.delta)
+        holds, undecided = filtered_sweep(balls)
+        # row k is target i+k, whose answer is at column k+skipped
+        return _Block(i, holds.diagonal(skipped).tolist(), undecided.diagonal(skipped).tolist())
+
+
+def shortcut_holds(P: PolyCurve, j: int, i: int, delta: float) -> bool:
+    """``_decide_between(P, j, i, Segment(P_j, P_i), delta)``, filtered."""
+    return ShortcutBlocks(P, delta).holds(j, i)
 
 
 def simplify_curve(P: PolyCurve, delta: float) -> Simplification:
@@ -93,10 +148,11 @@ def simplify_curve(P: PolyCurve, delta: float) -> Simplification:
     thresh = 2.0 * delta
     min_gap_sq = (delta / 3.0) ** 2
     V = P.vertices
+    shortcuts = ShortcutBlocks(P, thresh)
     stack: List[int] = [1]
     for i in range(2, n + 1):
-        while len(stack) >= 2 and shortcut_holds(P, stack[-2], i, thresh):
-            stack.pop()
+        while len(stack) >= 2 and shortcuts.holds(stack[-2], i):
+            shortcuts.discard(stack.pop())
         gap = V[i - 1] - V[stack[-1] - 1]
         if float(np.dot(gap, gap)) >= min_gap_sq:
             stack.append(i)

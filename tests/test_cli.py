@@ -70,8 +70,9 @@ def test_run_deterministic_reports(tmp_path):
     path = write(tmp_path, "seg2.txt", "\n".join(f"{x} {0.05 * ((-1) ** i)}" for i, x in enumerate(np.linspace(0, 8, 15))))
     r1 = run(RunConfig(input_path=path, delta=0.8, verify=True, seed=9))
     r2 = run(RunConfig(input_path=path, delta=0.8, verify=True, seed=9))
-    r1.pop("wall_time_s")
-    r2.pop("wall_time_s")
+    for timing in ("wall_time_s", "stage_s"):
+        r1.pop(timing)
+        r2.pop(timing)
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
 
@@ -134,6 +135,18 @@ def test_report_counts_proper_updates(tmp_path, monkeypatch, variant):
         assert 0 < report["proper_updates"] <= report["iterations"]
 
 
+@pytest.mark.parametrize("variant", ["explicit", "implicit", "greedy"])
+def test_report_times_each_stage(tmp_path, variant):
+    path = write(tmp_path, "tri.txt", "0 0\n6 0\n3 5\n0 0\n6 0\n")
+    out = tmp_path / "report.json"
+    cfg = RunConfig(input_path=path, delta=0.5, variant=variant, verify=True, seed=3,
+                    gamma_override=1, output_json_path=str(out))
+    report = run(cfg)
+    assert report["schema"] == 1
+    assert set(report["stage_s"]) == {"ingest", "simplify", "solve", "verify"}
+    assert json.loads(out.read_text())["stage_s"].keys() == report["stage_s"].keys()
+
+
 def test_run_bad_config():
     with pytest.raises(ValueError):
         RunConfig(input_path="x", delta=-1)
@@ -167,6 +180,7 @@ def test_failed_run_writes_report_with_diagnostics(tmp_path, monkeypatch):
     assert data["verdict"] == "FAILED"
     assert data["failure"] == "target size cap exceeded"
     assert data["diagnostics"] == {"max_k": 4, "rounds": 7}
+    assert set(data["stage_s"]) == {"ingest", "simplify", "solve"}
 
 
 def test_svg_well_formed_and_deterministic(tmp_path):

@@ -49,6 +49,29 @@ def test_vertex_params_validation():
         PolyCurve([(0, 0), (1, 0), (2, 0)], vertex_params=[0.0, 0.0, 1.0])
 
 
+def test_segment_validates_its_endpoints():
+    with pytest.raises(ValueError):
+        Segment((0.0, math.nan), (1.0, 0.0))
+    with pytest.raises(ValueError):
+        Segment((0.0, 0.0), (math.inf, 0.0))
+    with pytest.raises(ValueError):
+        Segment((0.0, 0.0), (1.0, 0.0, 0.0))
+    with pytest.raises(ValueError):
+        Segment([[0.0, 0.0]], [[1.0, 0.0]])
+
+
+def test_edges_are_the_vertex_pairs():
+    P = curve_from_points([(0, 0), (1, 0), (2, 2), (2, 2.5)])
+    for i in range(1, P.num_edges + 1):
+        e = P.edge(i)
+        assert isinstance(e, Segment)
+        assert np.array_equal(e.start, P.vertex(i)) and np.array_equal(e.end, P.vertex(i + 1))
+        assert e.length() == pytest.approx(np.linalg.norm(P.vertex(i + 1) - P.vertex(i)))
+    for i in (0, P.num_edges + 1, -1):
+        with pytest.raises(IndexError):
+            P.edge(i)
+
+
 def test_ball_segment_examples():
     iv = ball_segment_intersection((0, 0), (10, 0), (5, 3), 5)
     assert abs(iv.lo - 0.1) < 1e-12 and abs(iv.hi - 0.9) < 1e-12

@@ -10,6 +10,7 @@ retrace a closed polygon 2 or 3 times, so many subcurves share cells.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +30,8 @@ from subcover.coverage import (
 )
 from subcover.freespace import decide_frechet_subcurve_segment, extremal_points
 from subcover.geometry import EdgePoint, PolyCurve, Segment
-from subcover.simplify import _decide_between, shortcut_holds, simplify_curve
+import subcover.simplify as simplify_module
+from subcover.simplify import ShortcutBlocks, _decide_between, shortcut_holds, simplify_curve
 
 PROPERTY = settings(
     max_examples=60,
@@ -98,6 +100,68 @@ def test_filtered_shortcuts_equal_exact_decisions(scene):
 def test_simplify_keeps_the_exact_indices(scene):
     P, delta, _ = scene
     assert simplify_curve(P, delta).indices == _exact_simplify(P, delta)
+
+
+@PROPERTY
+@given(scenes(max_n=9), st.data())
+def test_shortcut_blocks_answer_queries_in_any_order(scene, data):
+    # every pair twice, shuffled: anchors interleave, targets go backwards
+    # and repeat, so blocks are refilled at arbitrary targets
+    P, delta, _ = scene
+    thresh = 2.0 * delta
+    pairs = [(j, i) for i in range(2, P.n + 1) for j in range(1, i)]
+    blocks = ShortcutBlocks(P, thresh)
+    for j, i in data.draw(st.permutations(pairs + pairs)):
+        a = EdgePoint(j, 0.0)
+        b = EdgePoint(i, 0.0) if i < P.n else EdgePoint(P.n - 1, 1.0)
+        exact = decide_frechet_subcurve_segment(P, a, b, Segment(P.vertex(j), P.vertex(i)), thresh)
+        assert blocks.holds(j, i) == exact, (j, i)
+
+
+@st.composite
+def raw_routes(draw):
+    """(curve, delta) of up to 60 vertices: a straight line, or a closed
+    polygon with lattice corners lapped 2 or 3 times, with or without noise."""
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(3, 60))
+    noise = draw(st.sampled_from([0.0, 0.05, 0.3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        direction = np.array(draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)), float)
+        assume(direction.any())
+        pts = np.linspace(0.0, draw(st.floats(1.0, 40.0)), n)[:, None] * direction
+    else:
+        coord = st.integers(-6, 6).map(float)
+        corners = np.array(draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=3, max_size=4)))
+        laps = draw(st.integers(2, 3))
+        t = np.linspace(0.0, float(len(corners) * laps), n, endpoint=False)
+        side = np.floor(t).astype(int) % len(corners)
+        f = (t - np.floor(t))[:, None]
+        pts = (1.0 - f) * corners[side] + f * corners[(side + 1) % len(corners)]
+    pts = pts + rng.normal(0.0, noise, size=pts.shape)
+    return PolyCurve(pts), draw(st.sampled_from([0.25, 0.5, 2.0]))
+
+
+@PROPERTY
+@given(raw_routes())
+def test_small_blocks_keep_the_exact_indices_and_the_entry_cap(route):
+    P, delta = route
+    cap = 16
+    shapes = []
+    kernel = simplify_module.ball_intervals
+
+    def recorded(*args):
+        balls = kernel(*args)
+        shapes.append(balls.lo.shape)
+        return balls
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplify_module, "BLOCK_ENTRIES", cap)
+        mp.setattr(simplify_module, "ball_intervals", recorded)
+        indices = simplify_curve(P, delta).indices
+    assert indices == _exact_simplify(P, delta)
+    # a call holds at most cap entries, or a single target whose row is longer
+    assert all(rows * cols <= cap or rows == 1 for rows, cols in shapes), shapes
 
 
 def _union(ivs):

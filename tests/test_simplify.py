@@ -113,15 +113,6 @@ def test_resimplify_keeps_spacing():
         assert np.all(gaps >= delta / 3 - 1e-12)
 
 
-def test_container_reports_source_indices():
-    P = curve_from_points([(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)])
-    s = simplify_curve(P, 0.5)
-    lo, hi = s.container(0.3, 0.6)
-    params = P.vertex_params
-    assert params[lo - 1] <= 0.3 and params[hi - 1] >= 0.6
-    assert lo in s.indices and hi in s.indices
-
-
 def test_bracket_confirms_simplification_error():
     P = curve_from_points([(0, 0), (1, 0.4), (2, 0), (3, 0.4), (4, 0)])
     delta = 0.5
