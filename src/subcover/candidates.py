@@ -5,39 +5,42 @@ subcurve near an edge, the free space yields an optimal subsegment of that
 edge; combining the start from one subcurve with the end from another gives
 one candidate per triple.  Proximity is tested at radius 8*delta, the
 working threshold of the cover search on the simplification.
+
+``candidate_set`` computes what the subcurves read once per curve, as
+arrays (``_CurveTables``): the segment distance of every pair of edges,
+which picks the close subcurves of each edge, and the dot products of the
+ball predicate of each (edge, vertex) pair and of the capsule predicate of
+each ordered (edge, edge) pair that a close subcurve reads.  Only the float
+steps of the radical predicates (``*_from_dots``), which decide emptiness
+and order, run per pair.  The output is bitwise that of one
+``freespace.extremal_points`` call per close subcurve.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .freespace import ExtremalPair, _slice_endpoint, extremal_points
+from .freespace import _slice_endpoint
 from .geometry import (
+    BALL_TOL,
+    BLOCK_ENTRIES,
     PolyCurve,
     RadInterval,
     Segment,
-    ball_segment_radical,
-    capsule_segment_radical,
-    segment_segment_dist_sq,
+    ball_segment_dots,
+    ball_segment_radical_from_dots,
+    capsule_segment_dots,
+    capsule_segment_radical_from_dots,
+    segment_pairs_dist_sq,
 )
 from .radicals import Radical, rad_max, rad_min
 
 MAX_SUBCURVE_SPAN = 4  # vertices forward from the start vertex
-
-
-def _uniform_edge_params(span: int) -> Tuple[List[float], List[float]]:
-    """(widths, start parameters) of the edges of a curve with span edges
-    under PolyCurve's default uniform vertex parameters."""
-    p = np.linspace(0.0, 1.0, span + 1)
-    return np.diff(p).tolist(), p[:-1].tolist()
-
-
-_SPAN_PARAMS = {m: _uniform_edge_params(m) for m in range(1, MAX_SUBCURVE_SPAN + 1)}
 
 
 @dataclass(frozen=True, order=True)
@@ -82,115 +85,61 @@ def generating_subcurves(S: PolyCurve) -> List[GeneratingSubcurve]:
     return out
 
 
-def _close_edge_pairs_brute(S: PolyCurve, radius: float) -> Set[Tuple[int, int]]:
-    ne = S.num_edges
-    rr = radius * radius
-    out = set()
-    edges = [S.edge(i) for i in range(1, ne + 1)]
-    for a in range(ne):
-        for b in range(a, ne):
-            if segment_segment_dist_sq(edges[a], edges[b]) <= rr:
-                out.add((a + 1, b + 1))
-                out.add((b + 1, a + 1))
-    return out
+def close_edge_pairs(S: PolyCurve, radius: float) -> np.ndarray:
+    """(ne, ne) mask of the edge pairs within the radius of each other.
 
-
-# Measured on random walks in d = 2..6 with 25 to 400 edges at radius 4
-# (steps of 1 to 8): the grid scan was faster than the brute one up to about
-# 4.4 neighbour lookups per ne^2, and slower from about 6.5 on, by a factor
-# that keeps growing with d (4x at 27, 10x at 83).  Below the threshold the
-# grid lost only on curves of 25 to 50 edges, by at most 1.4x.
-_GRID_LOOKUPS_PER_PAIR = 4.0
-
-
-def _close_edge_pairs_grid(S: PolyCurve, radius: float) -> Set[Tuple[int, int]]:
-    """Same pair set as the brute scan, filtered through a uniform grid.
-
-    Edges register every grid cell their bounding box overlaps (cell width
-    twice the radius), so any pair within the radius shares adjacent cells;
-    surviving pairs are confirmed with the exact segment distance.  Every
-    registered cell looks up its 3^d neighbours, which grows exponentially
-    with the dimension, so past ``_GRID_LOOKUPS_PER_PAIR`` lookups per ne^2
-    the brute scan is used instead.
+    Pair (a, b), a <= b, is decided by the distance of edge a against edge b
+    (``segment_pairs_dist_sq``), and the mask is symmetric.  Rows are
+    computed in blocks of about ``BLOCK_ENTRIES`` pairs.
     """
-    ne = S.num_edges
-    rr = radius * radius
-    cell = 2.0 * radius
     V = S.vertices
-    lo_cell = np.floor(np.minimum(V[:-1], V[1:]) / cell)
-    hi_cell = np.floor(np.maximum(V[:-1], V[1:]) / cell)
-    lookups = 3.0**S.dim * np.prod(hi_cell - lo_cell + 1.0, axis=1).sum()
-    if lookups > _GRID_LOOKUPS_PER_PAIR * ne * ne:
-        return _close_edge_pairs_brute(S, radius)
-    edges = [S.edge(i) for i in range(1, ne + 1)]
-    buckets: Dict[Tuple[int, ...], List[int]] = {}
-    for i, (lo_idx, hi_idx) in enumerate(zip(lo_cell.astype(int), hi_cell.astype(int)), start=1):
-        ranges = [range(a, b + 1) for a, b in zip(lo_idx, hi_idx)]
-        for key in itertools.product(*ranges):
-            buckets.setdefault(key, []).append(i)
-    neighbor_offsets = list(itertools.product(*[(-1, 0, 1)] * S.dim))
-    out: Set[Tuple[int, int]] = set()
-    for key, members in buckets.items():
-        near: Set[int] = set()
-        for off in neighbor_offsets:
-            near.update(buckets.get(tuple(k + o for k, o in zip(key, off)), ()))
-        for a in members:
-            for b in near:
-                if b < a or (a, b) in out:
-                    continue
-                if segment_segment_dist_sq(edges[a - 1], edges[b - 1]) <= rr:
-                    out.add((a, b))
-                    out.add((b, a))
-    return out
+    E0, E1 = V[:-1], V[1:]
+    ne = S.num_edges
+    close = np.zeros((ne, ne), dtype=bool)
+    step = max(BLOCK_ENTRIES // max(ne, 1), 1)
+    for lo in range(0, ne, step):
+        rows = slice(lo, lo + step)
+        dist = segment_pairs_dist_sq(E0[rows, None], E1[rows, None], E0[None], E1[None])
+        close[rows] = dist <= radius * radius
+    close = np.triu(close)
+    return close | close.T
 
 
-def generating_triples(S: PolyCurve, delta: float, mode: str = "grid") -> Set[GeneratingTriple]:
-    """Triples (edge, Y1, Y2) with both subcurves within 8*delta of the edge.
+def _close_subcurves(first: np.ndarray, last: np.ndarray, close: np.ndarray) -> np.ndarray:
+    """(ne, subcurves) mask: the subcurve with 0-based vertices first..last
+    contains an edge close to the edge."""
+    # count[e, k]: edges among the first k that are close to edge e
+    count = np.zeros((close.shape[0], close.shape[1] + 1), dtype=np.int64)
+    np.cumsum(close, axis=1, out=count[:, 1:])
+    return count[:, last] > count[:, first]
 
-    Grid mode buckets edges spatially before the exact distance test and
-    returns exactly the brute-force set.
-    """
+
+def _subcurve_vertices(subcurves: Sequence[GeneratingSubcurve]) -> Tuple[np.ndarray, np.ndarray]:
+    """0-based (first, last) vertex arrays of the subcurves."""
+    first = np.array([y.start_vertex - 1 for y in subcurves], dtype=np.int64)
+    return first, np.array([y.end_vertex - 1 for y in subcurves], dtype=np.int64)
+
+
+def generating_triples(S: PolyCurve, delta: float) -> Set[GeneratingTriple]:
+    """Triples (edge, Y1, Y2) with both subcurves within 8*delta of the edge."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if mode not in ("brute", "grid"):
-        raise ValueError("mode must be 'brute' or 'grid'")
-    radius = 8.0 * delta
-    pairs = (
-        _close_edge_pairs_brute(S, radius) if mode == "brute" else _close_edge_pairs_grid(S, radius)
-    )
-    close_subcurves = _close_subcurves_by_edge(S, pairs)
+    subcurves = generating_subcurves(S)
+    near = _close_subcurves(*_subcurve_vertices(subcurves), close_edge_pairs(S, 8.0 * delta))
     out: Set[GeneratingTriple] = set()
-    for e, ys in close_subcurves.items():
+    for e in range(1, S.num_edges + 1):
+        ys = [subcurves[k] for k in np.flatnonzero(near[e - 1])]
         for y1 in ys:
             for y2 in ys:
                 out.add(GeneratingTriple(e, y1, y2))
     return out
 
 
-def _close_subcurves_by_edge(
-    S: PolyCurve, pairs: Set[Tuple[int, int]]
-) -> Dict[int, List[GeneratingSubcurve]]:
-    """Subcurves within reach of each edge: those containing a close edge."""
-    close_by_edge: Dict[int, Set[int]] = {}
-    for a, b in pairs:
-        close_by_edge.setdefault(a, set()).add(b)
-    out: Dict[int, List[GeneratingSubcurve]] = {}
-    subcurves = generating_subcurves(S)
-    for e in range(1, S.num_edges + 1):
-        near = close_by_edge.get(e, set())
-        out[e] = [y for y in subcurves if any(f in near for f in y.edge_range())]
-    return out
-
-
-@dataclass(frozen=True)
-class _RadCandidate:
-    edge_index: int
-    alpha: Radical
-    beta: Radical
-
-
-def _dedup_radicals(vals: List[Radical]) -> List[Radical]:
-    """Distinct radical values under exact comparison, ascending."""
+def _sorted_distinct(vals: List[Radical]) -> List[Radical]:
+    """Distinct radical values under exact comparison, ascending, by a sort
+    on the comparator.  ``Radical.le`` is not transitive at near-ties (three
+    values can have Y = Z and X = Y but Z < X), so the result depends on the
+    whole list and its order, and only this function defines it."""
 
     def cmp(x: Radical, y: Radical) -> int:
         if x.eq(y):
@@ -205,189 +154,197 @@ def _dedup_radicals(vals: List[Radical]) -> List[Radical]:
     return out
 
 
-def candidate_set(
-    S: PolyCurve, delta: float, mode: str = "grid", triples: Optional[Set[GeneratingTriple]] = None
-) -> List[Candidate]:
+def _dedup_radicals(vals: List[Radical]) -> List[Radical]:
+    """``_sorted_distinct``, filtered: a sort on the float values.
+
+    Values are sorted by (float value, input index).  Distinct float values
+    further apart than BALL_TOL*(1 + |a| + sqrt(b) + |a'| + sqrt(b')), taken
+    over the radicals that round to them and well above the radical
+    comparison's own error, are ordered as the comparator orders them.
+    Radicals that round to the same float merge when all of them are ``eq``
+    to each other, into the first by input index, as the stable comparator
+    sort merges them.  Anything else (closer distinct values, or a run that
+    is not pairwise ``eq``) sends the whole list to ``_sorted_distinct``.
+    """
+    x = [v.value() for v in vals]
+    runs: List[list] = []  # [float value, largest |a| + sqrt(b), members]
+    for k in sorted(range(len(vals)), key=x.__getitem__):
+        v = vals[k]
+        size = abs(v.a) + math.sqrt(v.b)
+        if runs and runs[-1][0] == x[k]:
+            runs[-1][1] = max(runs[-1][1], size)
+            runs[-1][2].append(v)
+        else:
+            runs.append([x[k], size, [v]])
+    out: List[Radical] = []
+    for k, (value, size, members) in enumerate(runs):
+        if k and value - runs[k - 1][0] <= BALL_TOL * (1.0 + runs[k - 1][1] + size):
+            return _sorted_distinct(vals)
+        # eq depends only on (a, b, sign), and holds between equal forms
+        forms = list({(v.a, v.b, v.sign): v for v in members}.values())
+        for i in range(1, len(forms)):
+            if not all(forms[i].eq(u) for u in forms[:i]):
+                return _sorted_distinct(vals)
+        out.append(members[0])
+    return out
+
+
+def candidate_set(S: PolyCurve, delta: float) -> List[Candidate]:
     """One candidate per generating triple: the start parameter comes from
     the first subcurve's optimal subsegment, the end from the second's.
 
     Because every pair of subcurves near an edge forms a triple, the
     deduplicated candidates of one edge are exactly the cross product of the
-    distinct start parameters with the distinct end parameters; the default
-    path builds that product without materializing the triples, and takes
-    each subcurve's (s, t) from per-edge tables (``_EdgeTables``) instead of
-    one ``extremal_points`` call per subcurve.  Duplicates are removed by
-    exact comparison of the radical-form parameters; output is
-    deterministically ordered.
+    distinct start parameters with the distinct end parameters.  That
+    product is built without materializing the triples, and each subcurve's
+    (s, t) is read from per-curve tables (``_CurveTables``) instead of one
+    ``extremal_points`` call per subcurve.  Duplicates are removed by exact
+    comparison of the radical-form parameters (``_dedup_radicals``); output
+    is deterministically ordered: by edge, then start, then end.
     """
-    radius = 8.0 * delta
-    if triples is not None:
-        return _candidate_set_from_triples(S, radius, triples)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    pairs = (
-        _close_edge_pairs_brute(S, radius)
-        if mode == "brute"
-        else _close_edge_pairs_grid(S, radius)
-    )
-    close_subcurves = _close_subcurves_by_edge(S, pairs)
+    tables = _CurveTables(S, 8.0 * delta)
     out: List[Candidate] = []
-    edges = [S.edge(i) for i in range(1, S.num_edges + 1)]
-    for e in range(1, S.num_edges + 1):
-        s_vals: List[Radical] = []
-        t_vals: List[Radical] = []
-        tables = _EdgeTables(S, edges, e, radius)
-        for y in close_subcurves[e]:
-            pair = tables.extremal(y)
-            if pair is None:
-                continue
-            s_vals.append(pair[0])
-            t_vals.append(pair[1])
+    for e, pairs in enumerate(tables.extremal_pairs(), start=1):
+        s_vals = [s for s, _ in pairs]
+        t_vals = [t for _, t in pairs]
+        t_out = [t.value() for t in _dedup_radicals(t_vals)]
         for s in _dedup_radicals(s_vals):
             sv = s.value()
-            for t in _dedup_radicals(t_vals):
-                out.append(Candidate(e, sv, t.value()))
+            out.extend(Candidate(e, sv, tv) for tv in t_out)
     return out
 
 
-class _EdgeTables:
-    """Free-space predicates of one edge of S against the curve, each
-    computed at most once.
+class _CurveTables:
+    """The free-space predicates that the close subcurves of every edge read.
 
-    ``extremal_points`` of a subcurve Y against the edge reads, per vertex
-    of Y, the edge's ball interval against it, and per edge of Y its capsule
-    interval with the two slice endpoints.  Subcurves through the same cells
-    share these, so they are kept per curve vertex and per curve edge.
+    ``extremal_points`` of a subcurve Y against an edge reads, per inner
+    vertex of Y, the edge's ball interval against it, and per edge of Y its
+    capsule interval, with the two slice endpoints of the first and last
+    nonempty ones.  Their dot products are computed for all the pairs the
+    close subcurves read in one batched call each; the float step of each
+    predicate runs at most once per pair, when a subcurve first reads it.
     """
 
-    def __init__(self, S: PolyCurve, edges: Sequence[Segment], edge: int, radius: float):
-        self.S = S
-        self.edges = edges  # the edges of S, in order
-        self.seg = edges[edge - 1]
+    def __init__(self, S: PolyCurve, radius: float):
+        V = S.vertices
+        self.E0, self.E1 = V[:-1], V[1:]
+        self.ne = S.num_edges
         self.radius = float(radius)
-        self._verts: Dict[int, RadInterval] = {}
-        self._single: Dict[int, bool] = {}
-        self._cells: Dict[int, Optional[Tuple[RadInterval, Radical, Radical]]] = {}
+        self.first, self.last = _subcurve_vertices(generating_subcurves(S))
+        self.near = _close_subcurves(self.first, self.last, close_edge_pairs(S, radius))
+        # cells[e, c]: edge c lies on a close subcurve of edge e.  This covers
+        # the single-cell test's swapped pair too, since close is symmetric.
+        bounds = np.zeros((self.ne, self.ne + 1), dtype=np.int64)
+        rows, ks = np.nonzero(self.near)
+        np.add.at(bounds, (rows, self.first[ks]), 1)
+        np.add.at(bounds, (rows, self.last[ks]), -1)
+        cells = np.cumsum(bounds, axis=1)[:, :-1] > 0
+        a, c = np.nonzero(cells)
+        edges = (self.E0[a], self.E1[a], self.E0[c], self.E1[c])
+        self._caps = _pair_table(capsule_segment_dots, edges, a, c)
+        # vertex v + 1 is inner to a close subcurve when edges v and v + 1 both are on it
+        e, v = np.nonzero(cells[:, :-1] & cells[:, 1:])
+        self._balls = _pair_table(ball_segment_dots, (self.E0[e], self.E1[e], V[v + 1]), e, v + 1)
+        self._cap_iv: Dict[Tuple[int, int], RadInterval] = {}
+        self._ball_iv: Dict[Tuple[int, int], RadInterval] = {}
 
-    def vertical(self, v: int) -> RadInterval:
-        """Edge parameters within the radius of curve vertex v."""
-        iv = self._verts.get(v)
+    def capsule(self, a: int, c: int) -> RadInterval:
+        """Parameters of edge c within the radius of edge a (0-based)."""
+        iv = self._cap_iv.get((a, c))
         if iv is None:
-            iv = ball_segment_radical(self.seg.start, self.seg.end, self.S.vertex(v), self.radius)
-            self._verts[v] = iv
+            iv = capsule_segment_radical_from_dots(self._caps[a, c], self.radius)
+            self._cap_iv[a, c] = iv
         return iv
 
-    def single_cell_empty(self, c: int) -> bool:
-        """Whether no point of the edge is within the radius of curve edge c."""
-        empty = self._single.get(c)
-        if empty is None:
-            empty = capsule_segment_radical(self.edges[c - 1], self.seg, self.radius).empty
-            self._single[c] = empty
-        return empty
+    def vertical(self, e: int, v: int) -> RadInterval:
+        """Parameters of edge e within the radius of vertex v (0-based)."""
+        iv = self._ball_iv.get((e, v))
+        if iv is None:
+            iv = ball_segment_radical_from_dots(*self._balls[e, v], self.radius)
+            self._ball_iv[e, v] = iv
+        return iv
 
-    def cell(self, c: int) -> Optional[Tuple[RadInterval, Radical, Radical]]:
-        """Capsule interval of curve edge c about the edge, with the edge
-        parameters at its two ends (``_slice_endpoint``); None when empty."""
-        if c not in self._cells:
-            e = self.edges[c - 1]
-            cap = capsule_segment_radical(self.seg, e, self.radius)
-            if cap.empty:
-                self._cells[c] = None
-            else:
-                lo = _slice_endpoint(self.seg, e.at(cap.lo.value()), self.radius, want_lo=True)
-                hi = _slice_endpoint(self.seg, e.at(cap.hi.value()), self.radius, want_lo=False)
-                self._cells[c] = (cap, lo, hi)
-        return self._cells[c]
-
-    def extremal(self, y: GeneratingSubcurve) -> Optional[Tuple[Radical, Radical]]:
-        """(s_rad, t_rad) of ``extremal_points`` for the subcurve y against
-        the edge, by the same comparisons in the same order."""
-        first, last = y.start_vertex, y.end_vertex
-        inner = range(first + 1, last)
-        for v in inner:
-            if self.vertical(v).empty:
+    def _free_ends(self, e: int, first: int, last: int) -> Optional[Tuple[int, int]]:
+        """First and last cells of the subcurve's vertices first..last
+        (0-based) whose capsule about edge e is nonempty; None when the
+        subcurve is not well defined or every cell is empty."""
+        for v in range(first + 1, last):
+            if self.vertical(e, v).empty:
                 return None
-        if last - first == 1 and self.single_cell_empty(first):
+        if last - first == 1 and self.capsule(first, e).empty:
             return None
-        widths, offsets = _SPAN_PARAMS[last - first]
-        left_best = None  # (x, y) radical pair, x in the subcurve's parameter
-        right_best = None
-        for k, c in enumerate(range(first, last)):
-            cell = self.cell(c)
-            if cell is None:
-                continue
-            cap, lo, hi = cell
-            xl = cap.lo.affine(widths[k], offsets[k])
-            if left_best is None or xl.lt(left_best[0]) or (
-                xl.eq(left_best[0]) and lo.lt(left_best[1])
-            ):
-                left_best = (xl, lo)
-            xr = cap.hi.affine(widths[k], offsets[k])
-            if right_best is None or right_best[0].lt(xr) or (
-                xr.eq(right_best[0]) and right_best[1].lt(hi)
-            ):
-                right_best = (xr, hi)
-        if left_best is None or right_best is None:
+        cells = range(first, last)
+        lo = next((c for c in cells if not self.capsule(e, c).empty), None)
+        if lo is None:
             return None
-        s = rad_min(left_best[1], *[self.vertical(v).hi for v in inner])
-        t = rad_max(right_best[1], *[self.vertical(v).lo for v in inner])
-        return s, t
+        return lo, next(c for c in reversed(cells) if not self.capsule(e, c).empty)
+
+    def _slice_ends(self, wanted: Dict[tuple, None]) -> Dict[tuple, Radical]:
+        """``_slice_endpoint`` of edge e against cell c's capsule end, lower
+        end for want_lo, for every (e, c, want_lo) key, in one batch."""
+        keys = list(wanted)
+        if not keys:
+            return {}
+        es = np.array([k[0] for k in keys])
+        cs = np.array([k[1] for k in keys])
+        t = np.array([self._cap_iv[e, c].lo.value() if lo else self._cap_iv[e, c].hi.value()
+                      for e, c, lo in keys])
+        # Segment.at of cell c at t, for all keys at once
+        points = (1.0 - t)[:, None] * self.E0[cs] + t[:, None] * self.E1[cs]
+        dots = np.stack(ball_segment_dots(self.E0[es], self.E1[es], points), axis=1).tolist()
+        out = {}
+        for k, (e, c, lo) in enumerate(keys):
+            iv = ball_segment_radical_from_dots(*dots[k], self.radius)
+            if iv.empty:  # tangency fallback, which needs the geometry
+                seg = Segment._unchecked(self.E0[e], self.E1[e])
+                out[e, c, lo] = _slice_endpoint(seg, points[k], self.radius, lo, iv)
+            else:
+                out[e, c, lo] = iv.lo if lo else iv.hi
+        return out
+
+    def extremal_pairs(self) -> List[List[Tuple[Radical, Radical]]]:
+        """Per edge, the (s_rad, t_rad) of ``extremal_points`` of each close
+        subcurve in ``generating_subcurves`` order, skipping those without."""
+        found = []
+        wanted: Dict[tuple, None] = {}  # (e, c, want_lo), in first-seen order
+        firsts, lasts = self.first.tolist(), self.last.tolist()
+        rows, ks = np.nonzero(self.near)
+        for e, k in zip(rows.tolist(), ks.tolist()):
+            ends = self._free_ends(e, firsts[k], lasts[k])
+            if ends is not None:
+                found.append((e, firsts[k], lasts[k], ends))
+                wanted[e, ends[0], True] = None
+                wanted[e, ends[1], False] = None
+        slices = self._slice_ends(wanted)
+        out: List[List[Tuple[Radical, Radical]]] = [[] for _ in range(self.ne)]
+        for e, first, last, (lo, hi) in found:
+            inner = [self.vertical(e, v) for v in range(first + 1, last)]
+            s = rad_min(slices[e, lo, True], *[iv.hi for iv in inner])
+            t = rad_max(slices[e, hi, False], *[iv.lo for iv in inner])
+            out[e].append((s, t))
+        return out
 
 
-def _extremal_for(
-    S: PolyCurve, edge: int, y: GeneratingSubcurve, radius: float
-) -> Optional[ExtremalPair]:
-    sub = PolyCurve(S.vertices[y.start_vertex - 1 : y.end_vertex])
-    return extremal_points(sub, S.edge(edge), radius)
-
-
-def _candidate_set_from_triples(
-    S: PolyCurve, radius: float, triples: Set[GeneratingTriple]
-) -> List[Candidate]:
-    pair_cache: Dict[Tuple[int, GeneratingSubcurve], Optional[ExtremalPair]] = {}
-
-    def extremal_cached(edge: int, y: GeneratingSubcurve) -> Optional[ExtremalPair]:
-        key = (edge, y)
-        if key not in pair_cache:
-            pair_cache[key] = _extremal_for(S, edge, y, radius)
-        return pair_cache[key]
-
-    rad_cands: List[_RadCandidate] = []
-    for tri in sorted(triples):
-        p1 = extremal_cached(tri.edge, tri.y1)
-        if p1 is None:
-            continue
-        p2 = extremal_cached(tri.edge, tri.y2)
-        if p2 is None:
-            continue
-        rad_cands.append(_RadCandidate(tri.edge, p1.s_rad, p2.t_rad))
-
-    def cmp(x: _RadCandidate, y: _RadCandidate) -> int:
-        if x.edge_index != y.edge_index:
-            return -1 if x.edge_index < y.edge_index else 1
-        if not x.alpha.eq(y.alpha):
-            return -1 if x.alpha.lt(y.alpha) else 1
-        if not x.beta.eq(y.beta):
-            return -1 if x.beta.lt(y.beta) else 1
-        return 0
-
-    rad_cands.sort(key=cmp_to_key(cmp))
-    out: List[Candidate] = []
-    prev: Optional[_RadCandidate] = None
-    for rc in rad_cands:
-        if prev is not None and cmp(prev, rc) == 0:
-            continue
-        out.append(Candidate(rc.edge_index, rc.alpha.value(), rc.beta.value()))
-        prev = rc
-    return out
+def _pair_table(dots_fn, args, rows: np.ndarray, cols: np.ndarray) -> Dict[Tuple[int, int], list]:
+    """{(row, col): dots} of a ``*_dots`` function over gathered pairs, in
+    blocks of ``BLOCK_ENTRIES`` pairs."""
+    table: Dict[Tuple[int, int], list] = {}
+    keys = list(zip(rows.tolist(), cols.tolist()))
+    for lo in range(0, len(keys), BLOCK_ENTRIES):
+        block = slice(lo, lo + BLOCK_ENTRIES)
+        dots = np.stack(dots_fn(*[x[block] for x in args]), axis=1).tolist()
+        table.update(zip(keys[block], dots))
+    return table
 
 
 def candidate_segments(S: PolyCurve, cands: Sequence[Candidate]) -> Tuple[np.ndarray, np.ndarray]:
-    """Endpoint arrays (starts, ends) for a list of candidates."""
-    starts = np.empty((len(cands), S.dim))
-    ends = np.empty((len(cands), S.dim))
-    for k, c in enumerate(cands):
-        e = S.edge(c.edge_index)
-        starts[k] = e.at(c.alpha)
-        ends[k] = e.at(c.beta)
-    return starts, ends
+    """Endpoint arrays (starts, ends) for a list of candidates, by the
+    arithmetic of ``Segment.at`` on each candidate's edge."""
+    n = len(cands)
+    e = np.fromiter((c.edge_index for c in cands), dtype=np.int64, count=n)
+    alpha = np.fromiter((c.alpha for c in cands), dtype=float, count=n)[:, None]
+    beta = np.fromiter((c.beta for c in cands), dtype=float, count=n)[:, None]
+    V0, V1 = S.vertices[e - 1], S.vertices[e]
+    return (1.0 - alpha) * V0 + alpha * V1, (1.0 - beta) * V0 + beta * V1

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -37,6 +38,7 @@ class ParseError(ValueError):
 def ingest(path: str) -> PolyCurve:
     """Read a polygonal curve from a delimited text file."""
     rows: List[List[float]] = []
+    lines: List[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -47,20 +49,29 @@ def ingest(path: str) -> PolyCurve:
                 vals = [float(x) for x in parts]
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: non-numeric field in {line!r}")
+            if not all(map(math.isfinite, vals)):
+                raise ParseError(f"{path}:{lineno}: non-finite field in {line!r}")
             if rows and len(vals) != len(rows[0]):
                 raise ParseError(
                     f"{path}:{lineno}: expected {len(rows[0])} columns, got {len(vals)}"
                 )
             rows.append(vals)
+            lines.append(lineno)
     if not rows:
         raise ParseError(f"{path}: no points found")
     pts = np.asarray(rows, dtype=float)
-    keep = [0]
-    for i in range(1, len(pts)):
-        if not np.array_equal(pts[i], pts[keep[-1]]):
-            keep.append(i)
+    keep = np.concatenate([[True], np.any(pts[1:] != pts[:-1], axis=1)])
     pts = pts[keep]
-    return PolyCurve(pts, arclength_params(pts))
+    with np.errstate(over="ignore", invalid="ignore"):
+        params = arclength_params(pts)
+    stuck = np.flatnonzero(~(np.diff(params) > 0.0))
+    if stuck.size:
+        lineno = np.asarray(lines)[keep][stuck[0] + 1]
+        raise ParseError(
+            f"{path}:{lineno}: the point's arclength parameter does not increase "
+            "past the previous point's in double precision"
+        )
+    return PolyCurve(pts, params)
 
 
 def write_curve(P: PolyCurve, path: str) -> None:
@@ -141,7 +152,7 @@ def run(config: RunConfig) -> dict:
         report["diagnostics"] = failure.diagnostics
     else:
         centers = result.center_segments(S)
-        coverage = full_coverage(P, centers, guarantee)
+        coverage = full_coverage(_promote_single_vertex(P), centers, guarantee)
         verdict = "SKIPPED"
         if config.verify:
             verdict = "PASS" if covers_unit(coverage) else "FAILED"

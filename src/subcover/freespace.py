@@ -11,7 +11,7 @@ a+sqrt(b) form and ordered with the exact radical predicates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -242,14 +242,18 @@ def _coverage_interval_on_row(row: FreeSpaceRow, i: int, j: int) -> Interval:
     return Interval(lo, hi)
 
 
-def _slice_endpoint(seg: Segment, point: np.ndarray, delta: float, want_lo: bool) -> Radical:
+def _slice_endpoint(
+    seg: Segment, point: np.ndarray, delta: float, want_lo: bool, iv: Optional[RadInterval] = None
+) -> Radical:
     """Endpoint of the free interval of seg against a point near distance delta.
 
-    At a tangency the quadratic's discriminant can round to a hair below
-    zero; the projection parameter of the point onto the segment is the
-    exact limit there.
+    ``iv`` is that interval when the caller already has it.  At a tangency
+    the quadratic's discriminant can round to a hair below zero; the
+    projection parameter of the point onto the segment is the exact limit
+    there.
     """
-    iv = ball_segment_radical(seg.start, seg.end, point, delta)
+    if iv is None:
+        iv = ball_segment_radical(seg.start, seg.end, point, delta)
     if not iv.empty:
         return iv.lo if want_lo else iv.hi
     v = seg.end - seg.start
@@ -280,6 +284,12 @@ def extremal_points(Y: PolyCurve, seg: Segment, delta: float) -> Optional[Extrem
     of Y exists.  s is the smallest of the leftmost free-space point's
     y-coordinate and the upper ends of the internal vertical intervals; t is
     the largest of the rightmost point's y-coordinate and the lower ends.
+
+    The leftmost free point lies in the first cell with a nonempty free
+    region, at its lower end, and the rightmost in the last such cell, at
+    its upper end: cells are ordered along Y's parameter, and two cells
+    reach the same parameter only at their shared vertex, where both slice
+    endpoints are computed from the same point.
     """
     m = Y.num_edges
     if m < 1:
@@ -294,31 +304,19 @@ def extremal_points(Y: PolyCurve, seg: Segment, delta: float) -> Optional[Extrem
     if m == 1 and capsule_segment_radical(Y.edge(1), seg, delta).empty:
         return None
 
-    left_best = None  # (x_global, y) radical pair
-    right_best = None
-    for c in range(1, m + 1):
-        e = Y.edge(c)
-        cap = capsule_segment_radical(seg, e, delta)
-        if cap.empty:
-            continue
-        w, t0 = Y.edge_width(c), Y.param(c)
-        xl = cap.lo.affine(w, t0)
-        cand = (xl, _slice_endpoint(seg, e.at(cap.lo.value()), delta, want_lo=True))
-        if left_best is None or cand[0].lt(left_best[0]) or (
-            cand[0].eq(left_best[0]) and cand[1].lt(left_best[1])
-        ):
-            left_best = cand
-        xr = cap.hi.affine(w, t0)
-        cand = (xr, _slice_endpoint(seg, e.at(cap.hi.value()), delta, want_lo=False))
-        if right_best is None or right_best[0].lt(cand[0]) or (
-            cand[0].eq(right_best[0]) and right_best[1].lt(cand[1])
-        ):
-            right_best = cand
-    if left_best is None or right_best is None:
+    def first_free(cells) -> Optional[Tuple[Segment, RadInterval]]:
+        for c in cells:
+            cap = capsule_segment_radical(seg, Y.edge(c), delta)
+            if not cap.empty:
+                return Y.edge(c), cap
         return None
 
-    s_cands: List[Radical] = [left_best[1]]
-    t_cands: List[Radical] = [right_best[1]]
+    left = first_free(range(1, m + 1))
+    if left is None:
+        return None
+    right = first_free(range(m, 0, -1))
+    s_cands: List[Radical] = [_slice_endpoint(seg, left[0].at(left[1].lo.value()), delta, True)]
+    t_cands: List[Radical] = [_slice_endpoint(seg, right[0].at(right[1].hi.value()), delta, False)]
     for v in range(2, m + 1):
         iv = row.vertical(v)
         s_cands.append(iv.hi)

@@ -302,24 +302,50 @@ def arclength_params(points: np.ndarray) -> np.ndarray:
 # intersection kernel
 
 
-def ball_segment_radical(p: np.ndarray, q: np.ndarray, r: np.ndarray, delta: float) -> RadInterval:
-    """{t in [0,1] : |p + t(q-p) - r| <= delta} with radical endpoints."""
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+def rowdot(x: np.ndarray, y: np.ndarray):
+    """Dot products of the last axis: ``float(np.dot(x, y))`` for two vectors,
+    else an array over the leading axes.
+
+    Stacked rows go through stacked ``np.matmul`` (1 x d by d x 1), which
+    takes the same BLAS dot per row as ``np.dot`` does, so a batched table
+    equals the scalar predicates bit for bit (``tests/test_properties.py``
+    pins this).  ``einsum`` and ``(x * y).sum(-1)`` do not: the BLAS dot may
+    use fused multiply-adds.  ``np.vecdot`` would also match, but needs
+    numpy 2.0, and the package supports numpy 1.24.
+    """
+    if x.ndim == 1:
+        return float(np.dot(x, y))
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+def ball_segment_dots(p: np.ndarray, q: np.ndarray, r: np.ndarray):
+    """(v.v, v.w, w.w) with v = q - p and w = p - r: what
+    ``ball_segment_radical_from_dots`` reads.  Arrays broadcast."""
     v = q - p
     w = p - r
-    aa = float(np.dot(v, v))
+    return rowdot(v, v), rowdot(v, w), rowdot(w, w)
+
+
+def ball_segment_radical_from_dots(aa: float, vw: float, ww: float, delta: float) -> RadInterval:
+    """``ball_segment_radical`` from its dot products (``ball_segment_dots``)."""
     if 4.0 * aa * aa == 0.0:  # a point, or a segment so short that aa^2 underflows
-        inside = float(np.dot(w, w)) <= delta * delta
+        inside = ww <= delta * delta
         return RadInterval(ZERO, ONE) if inside else RadInterval.make_empty()
-    bb = 2.0 * float(np.dot(v, w))
-    cc = float(np.dot(w, w)) - delta * delta
+    bb = 2.0 * vw
+    cc = ww - delta * delta
     disc = bb * bb - 4.0 * aa * cc
     if disc < 0.0:
         return RadInterval.make_empty()
     mid = -bb / (2.0 * aa)
     rad = disc / (4.0 * aa * aa)
     return RadInterval(Radical(mid, rad, -1), Radical(mid, rad, 1)).clamp01()
+
+
+def ball_segment_radical(p: np.ndarray, q: np.ndarray, r: np.ndarray, delta: float) -> RadInterval:
+    """{t in [0,1] : |p + t(q-p) - r| <= delta} with radical endpoints."""
+    if delta < 0:
+        raise ValueError("delta must be nonnegative")
+    return ball_segment_radical_from_dots(*ball_segment_dots(p, q, r), delta)
 
 
 def ball_segment_intersection(p, q, r, delta: float) -> Interval:
@@ -348,26 +374,49 @@ def _quadratic_sublevel(aa: float, bb: float, cc: float) -> RadInterval:
     return RadInterval(Radical(mid, rad, -1), Radical(mid, rad, 1))
 
 
-def capsule_segment_radical(seg_ab: Segment, seg_pq: Segment, delta: float) -> RadInterval:
-    """{t in [0,1] : dist(seg_pq(t), seg_ab) <= delta} with radical endpoints.
+def capsule_segment_dots(a: np.ndarray, b: np.ndarray, p: np.ndarray, q: np.ndarray):
+    """The eleven dot products ``capsule_segment_radical_from_dots`` reads,
+    for the segment p->q against the segment a->b; arrays broadcast.
 
-    The distance from a point moving along seg_pq to the fixed segment seg_ab
+    With w = b - a and v = q - p they are, in order: w.w, (p-a).w, v.w,
+    v.v, v.(p-a), (p-a).(p-a), v.(p-b), (p-b).(p-b), then c1.c1, c0.c1 and
+    c0.c0 of the orthogonal band's c0 = (p-a) - u0 w and c1 = v - u1 w, with
+    u0 = (p-a).w / w.w and u1 = v.w / w.w.  When w.w is 0 the last three are
+    not read (and, for arrays, not finite).
+    """
+    w = b - a
+    v = q - p
+    pa = p - a
+    pb = p - b
+    ww, pa_w, v_w = rowdot(w, w), rowdot(pa, w), rowdot(v, w)
+    dots = (ww, pa_w, v_w, rowdot(v, v), rowdot(v, pa), rowdot(pa, pa))
+    dots += (rowdot(v, pb), rowdot(pb, pb))
+    if np.ndim(ww) == 0:
+        if ww == 0.0:
+            return dots + (math.nan,) * 3
+        c0 = pa - (pa_w / ww) * w
+        c1 = v - (v_w / ww) * w
+        return dots + (rowdot(c1, c1), rowdot(c0, c1), rowdot(c0, c0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c0 = pa - (pa_w / ww)[..., None] * w
+        c1 = v - (v_w / ww)[..., None] * w
+        return dots + (rowdot(c1, c1), rowdot(c0, c1), rowdot(c0, c0))
+
+
+def capsule_segment_radical_from_dots(dots: Sequence[float], delta: float) -> RadInterval:
+    """``capsule_segment_radical`` from its dot products (``capsule_segment_dots``).
+
+    The distance from a point moving along p->q to the fixed segment a->b
     is convex in t, so the sublevel set is one interval.  It is assembled from
     the three regimes of the point-to-segment distance (before the start,
     orthogonal band, past the end).
     """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    a, b = seg_ab.start, seg_ab.end
-    w = b - a
-    ww = float(np.dot(w, w))
+    ww, pa_w, v_w, vv, v_pa, pa_pa, v_pb, pb_pb, c1c1, c0c1, c0c0 = dots
     if ww == 0.0:
-        return ball_segment_radical(seg_pq.start, seg_pq.end, a, delta)
-    p, q = seg_pq.start, seg_pq.end
-    v = q - p
+        return ball_segment_radical_from_dots(vv, v_pa, pa_pa, delta)
     # projection parameter u(t) = (p + t v - a).w / ww is affine in t
-    u0 = float(np.dot(p - a, w)) / ww
-    u1 = float(np.dot(v, w)) / ww  # slope
+    u0 = pa_w / ww
+    u1 = v_w / ww  # slope
     pieces = []
 
     def clip(lo: float, hi: float):
@@ -389,20 +438,11 @@ def capsule_segment_radical(seg_ab: Segment, seg_pq: Segment, delta: float) -> R
         if rng is None:
             continue
         if kind == 0:  # distance to endpoint a
-            iv = _quadratic_sublevel(
-                float(np.dot(v, v)), 2.0 * float(np.dot(v, p - a)), float(np.dot(p - a, p - a)) - dd
-            )
+            iv = _quadratic_sublevel(vv, 2.0 * v_pa, pa_pa - dd)
         elif kind == 2:  # distance to endpoint b
-            iv = _quadratic_sublevel(
-                float(np.dot(v, v)), 2.0 * float(np.dot(v, p - b)), float(np.dot(p - b, p - b)) - dd
-            )
-        else:  # orthogonal band: |z - a - u(t) w|^2 with u affine
-            # perp(t) = (p - a + t v) - (u0 + u1 t) w  is affine in t
-            c0 = (p - a) - u0 * w
-            c1 = v - u1 * w
-            iv = _quadratic_sublevel(
-                float(np.dot(c1, c1)), 2.0 * float(np.dot(c0, c1)), float(np.dot(c0, c0)) - dd
-            )
+            iv = _quadratic_sublevel(vv, 2.0 * v_pb, pb_pb - dd)
+        else:  # orthogonal band: |perp(t)|^2 with perp(t) = c0 + t c1
+            iv = _quadratic_sublevel(c1c1, 2.0 * c0c1, c0c0 - dd)
         if iv.empty:
             continue
         lo_r = rad_max(iv.lo, Radical.exact(rng[0]))
@@ -416,6 +456,14 @@ def capsule_segment_radical(seg_ab: Segment, seg_pq: Segment, delta: float) -> R
     lo = rad_min(*[pc.lo for pc in pieces])
     hi = rad_max(*[pc.hi for pc in pieces])
     return RadInterval(lo, hi).clamp01()
+
+
+def capsule_segment_radical(seg_ab: Segment, seg_pq: Segment, delta: float) -> RadInterval:
+    """{t in [0,1] : dist(seg_pq(t), seg_ab) <= delta} with radical endpoints."""
+    if delta < 0:
+        raise ValueError("delta must be nonnegative")
+    dots = capsule_segment_dots(seg_ab.start, seg_ab.end, seg_pq.start, seg_pq.end)
+    return capsule_segment_radical_from_dots(dots, delta)
 
 
 def capsule_segment_intersection(seg_ab: Segment, seg_pq: Segment, delta: float) -> Interval:
@@ -465,6 +513,41 @@ def segment_segment_dist_sq(s1: Segment, s2: Segment) -> float:
         s = min(max((bdot - c) / a, 0.0), 1.0)
     diff = (p1 + s * d1) - (p2 + t * d2)
     return float(np.dot(diff, diff))
+
+
+def segment_pairs_dist_sq(p1: np.ndarray, q1: np.ndarray, p2: np.ndarray, q2: np.ndarray):
+    """``segment_segment_dist_sq`` of segments p1->q1 against p2->q2, for
+    arrays of endpoints (at least 2-d) that broadcast over their leading axes.
+
+    Every branch of the scalar function is evaluated by the same float
+    operations and each entry's own branch is selected, so each entry equals
+    the scalar result bit for bit.
+    """
+    d1, d2 = q1 - p1, q2 - p2
+    r = p1 - p2
+    a, e = rowdot(d1, d1), rowdot(d2, d2)
+    f, c, bdot = rowdot(d2, r), rowdot(d1, r), rowdot(d1, d2)
+
+    def clamp(x):
+        return np.minimum(np.maximum(x, 0.0), 1.0)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = a * e - bdot * bdot
+        s = np.where(denom > 0.0, clamp((bdot * f - c * e) / denom), 0.0)
+        t = (bdot * s + f) / e
+        below, above = t < 0.0, t > 1.0
+        s = np.where(below, clamp(-c / a), np.where(above, clamp((bdot - c) / a), s))
+        t = np.where(below, 0.0, np.where(above, 1.0, t))
+        both = (p1 + s[..., None] * d1) - (p2 + t[..., None] * d2)
+        # a degenerate first segment is the point p1 against the second
+        u = clamp(rowdot(r, d2) / e)[..., None]
+        point1 = p1 - (p2 + u * d2)
+        # a degenerate second segment is the point p2 against the first
+        u = clamp(rowdot(p2 - p1, d1) / a)[..., None]
+        point2 = p2 - (p1 + u * d1)
+    flat1, flat2 = (a == 0.0)[..., None], (e == 0.0)[..., None]
+    diff = np.where(flat1, np.where(flat2, r, point1), np.where(flat2, point2, both))
+    return rowdot(diff, diff)
 
 
 # ---------------------------------------------------------------------------

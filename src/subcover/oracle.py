@@ -2,7 +2,9 @@
 
 Everything here favors transparency over speed: dense grids, exhaustive
 subset enumeration, textbook reachability.  None of it reuses the decision
-logic of the module it is meant to validate.
+logic of the module it is meant to validate.  The exception to "transparency
+over speed" is ``full_coverage``, which checks every CLI solve: it runs on
+arrays, and its loop form is the tests' reference.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .freespace import decide_frechet_subcurve_segment
-from .geometry import EdgePoint, Interval, PolyCurve, Segment
+from .geometry import BLOCK_ENTRIES, EdgePoint, Interval, PolyCurve, Segment, rowdot
 
 
 @dataclass(frozen=True)
@@ -257,93 +259,126 @@ def covered_params_brute(
 # ---------------------------------------------------------------------------
 # coverage oracles
 
-from .coverage import covers_unit, merge_intervals  # noqa: E402
+from .coverage import covers_unit  # noqa: E402
 
 
 def full_coverage(P: PolyCurve, C: Sequence[Segment], delta: float) -> List[Interval]:
     """Union of coverage intervals over all edge windows 1 <= i <= j <= n-1.
 
     Unrestricted window spans; used to check end-to-end guarantees on the
-    input curve.  O(n^2 |C|), desk scale only.
+    input curve.  A traversal of a centre that starts on edge i, in the
+    centre's start ball, reaches edge j when a nondecreasing centre
+    parameter crosses the vertical intervals at vertices i+1..j, and ends
+    there when edge j meets the centre's end ball; the window (i, j) covers
+    from its lowest start to its highest end.  Everything is computed in
+    floats, for blocks of centres at once: the balls and vertical intervals
+    in O(|C| n), and one sweep over the vertices per (centre, start edge)
+    row whose start ball is nonempty.  Blocks hold about ``BLOCK_ENTRIES``
+    (centre, edge) or (row, vertex) entries.
     """
-    ivs: List[Interval] = []
-    for q in C:
-        ivs.extend(_coverage_all_windows_one(P, q, delta))
-    return merge_intervals(ivs)
-
-
-def _coverage_all_windows_one(P: PolyCurve, q: Segment, delta: float) -> List[Interval]:
-    """Coverage intervals of one segment over all (i, j) edge windows."""
     ne = P.num_edges
+    if ne < 1 or not C:
+        return []
+    starts = np.array([q.start for q in C])
+    ends = np.array([q.end for q in C])
+    step = max(BLOCK_ENTRIES // ne, 1)
+    windows = [
+        _start_windows(P, starts[k : k + step], ends[k : k + step], delta * delta)
+        for k in range(0, len(C), step)
+    ]
+    return _merged(*[np.concatenate(side) for side in zip(*windows)])
+
+
+def _start_windows(P: PolyCurve, starts: np.ndarray, ends: np.ndarray, dd: float):
+    """(lo, hi) arrays: per centre and start edge, the union of the windows
+    starting there, for the centres that have one."""
     V = P.vertices
-    E0, E1 = V[:-1], V[1:]
-    dd = delta * delta
-
-    def edge_ball(center: np.ndarray):
-        v = E1 - E0
-        w = E0 - center[None, :]
-        aa = (v * v).sum(axis=1)
-        bb = 2.0 * (v * w).sum(axis=1)
-        cc = (w * w).sum(axis=1) - dd
-        disc = bb * bb - 4 * aa * cc
-        safe = np.where(aa == 0, 1.0, aa)
-        root = np.sqrt(np.maximum(disc, 0.0))
-        lo = np.maximum((-bb - root) / (2 * safe), 0.0)
-        hi = np.minimum((-bb + root) / (2 * safe), 1.0)
-        degen = aa == 0
-        inside = cc <= 0
-        lo = np.where(degen, 0.0, lo)
-        hi = np.where(degen, 1.0, hi)
-        ok = np.where(degen, inside, (disc >= 0) & (lo <= hi))
-        return ok, lo, hi
-
-    bot_ok, bot_lo, _ = edge_ball(q.start)
-    top_ok, _, top_hi = edge_ball(q.end)
-
-    # vertical free intervals at internal vertices 2..n-1 (index v-2 below)
-    sv = q.end - q.start
-    aa = float(np.dot(sv, sv))
-    w = V[1:-1] - q.start[None, :]
-    if aa == 0.0:
-        inside = (w * w).sum(axis=1) <= dd
-        c_lo = np.where(inside, 0.0, np.inf)
-        c_hi = np.where(inside, 1.0, -np.inf)
-    else:
-        bb = -2.0 * (w * sv[None, :]).sum(axis=1)
-        cc = (w * w).sum(axis=1) - dd
-        disc = bb * bb - 4 * aa * cc
-        root = np.sqrt(np.maximum(disc, 0.0))
-        c_lo = np.maximum((-bb - root) / (2 * aa), 0.0)
-        c_hi = np.minimum((-bb + root) / (2 * aa), 1.0)
-        bad = (disc < 0) | (c_lo > c_hi)
-        c_lo = np.where(bad, np.inf, c_lo)
-        c_hi = np.where(bad, -np.inf, c_hi)
-
+    ne = P.num_edges
+    bot_ok, bot_lo, _ = _edge_balls(V, starts, dd)
+    top_ok, _, top_hi = _edge_balls(V, ends, dd)
+    c_lo, c_hi = _vertex_intervals(V[1:-1], starts, ends, dd)
     params = P.vertex_params
     widths = np.diff(params)
     lo_glob = params[:-1] + bot_lo * widths
     hi_glob = params[:-1] + top_hi * widths
 
-    out: List[Interval] = []
-    for i in range(1, ne + 1):
-        if not bot_ok[i - 1]:
-            continue
-        best_hi = -np.inf
-        if top_ok[i - 1] and bot_lo[i - 1] <= top_hi[i - 1]:
-            best_hi = hi_glob[i - 1]
-        cur = 0.0
-        for j in range(i + 1, ne + 1):
-            vi = j - 2  # vertical at vertex j
-            if c_lo[vi] > c_hi[vi]:
-                break
-            cur = max(cur, c_lo[vi])
-            if cur > c_hi[vi]:
-                break
-            if top_ok[j - 1]:
-                best_hi = max(best_hi, hi_glob[j - 1])
-        if best_hi > -np.inf:
-            out.append(Interval(float(lo_glob[i - 1]), float(best_hi)))
-    return out
+    rows_c, rows_i = np.nonzero(bot_ok)
+    best = np.empty(len(rows_c))
+    vertex = np.arange(ne - 1)  # vertex k + 2, between edges k + 1 and k + 2
+    step = max(BLOCK_ENTRIES // ne, 1)
+    for lo in range(0, len(rows_c), step):
+        c, i = rows_c[lo : lo + step], rows_i[lo : lo + step]
+        ahead = vertex >= i[:, None]
+        # running max of the vertical lower ends from vertex i + 1 on; a
+        # row stays reachable while it never passes an upper end
+        cur = np.fmax.accumulate(np.where(ahead, c_lo[c], 0.0), axis=1)
+        reach = np.logical_and.accumulate(~ahead | ~(cur > c_hi[c]), axis=1)
+        ends_ok = np.zeros((len(c), ne), dtype=bool)
+        ends_ok[:, 1:] = reach & ahead
+        ends_ok[np.arange(len(c)), i] = bot_lo[c, i] <= top_hi[c, i]
+        ends_ok &= top_ok[c]
+        ends_hi = np.where(ends_ok, hi_glob[c], -np.inf)
+        best[lo : lo + step] = np.max(ends_hi, axis=1, initial=-np.inf)
+    lo_row = lo_glob[rows_c, rows_i]
+    keep = (best > -np.inf) & ~(lo_row > best)
+    return lo_row[keep], best[keep]
+
+
+def _edge_balls(V: np.ndarray, centres: np.ndarray, dd: float):
+    """(ok, lo, hi), each (centres, edges): the clamped parameter interval of
+    every edge of the vertex array V inside every centre's ball."""
+    E0, E1 = V[:-1], V[1:]
+    v = E1 - E0
+    w = E0[None, :, :] - centres[:, None, :]
+    aa = (v * v).sum(axis=-1)
+    bb = 2.0 * (v * w).sum(axis=-1)
+    cc = (w * w).sum(axis=-1) - dd
+    disc = bb * bb - 4 * aa * cc
+    safe = np.where(aa == 0, 1.0, aa)
+    root = np.sqrt(np.maximum(disc, 0.0))
+    lo = np.maximum((-bb - root) / (2 * safe), 0.0)
+    hi = np.minimum((-bb + root) / (2 * safe), 1.0)
+    degen = aa == 0
+    inside = cc <= 0
+    lo = np.where(degen, 0.0, lo)
+    hi = np.where(degen, 1.0, hi)
+    ok = np.where(degen, inside, (disc >= 0) & (lo <= hi))
+    return ok, lo, hi
+
+
+def _vertex_intervals(W: np.ndarray, starts: np.ndarray, ends: np.ndarray, dd: float):
+    """(lo, hi), each (centres, vertices): the clamped parameter interval of
+    every centre within reach of every vertex of W; empty is (inf, -inf)."""
+    sv = ends - starts
+    aa = rowdot(sv, sv)[:, None]
+    w = W[None, :, :] - starts[:, None, :]
+    ww = (w * w).sum(axis=-1)
+    bb = -2.0 * (w * sv[:, None, :]).sum(axis=-1)
+    cc = ww - dd
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = bb * bb - 4 * aa * cc
+        root = np.sqrt(np.maximum(disc, 0.0))
+        lo = np.maximum((-bb - root) / (2 * aa), 0.0)
+        hi = np.minimum((-bb + root) / (2 * aa), 1.0)
+    bad = (disc < 0) | (lo > hi)
+    point = aa == 0.0  # a point centre: its whole parameter range or nothing
+    inside = ww <= dd
+    lo = np.where(point, np.where(inside, 0.0, np.inf), np.where(bad, np.inf, lo))
+    hi = np.where(point, np.where(inside, 1.0, -np.inf), np.where(bad, -np.inf, hi))
+    return lo, hi
+
+
+def _merged(lo: np.ndarray, hi: np.ndarray) -> List[Interval]:
+    """``merge_intervals`` of nonempty intervals: a sort on (lo, hi), then a
+    new interval wherever lo passes the running max of the earlier his."""
+    if lo.size == 0:
+        return []
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    reach = np.maximum.accumulate(hi)
+    first = np.flatnonzero(np.concatenate([[True], lo[1:] > reach[:-1]]))
+    last = np.concatenate([first[1:], [len(lo)]]) - 1
+    return [Interval(a, b) for a, b in zip(lo[first].tolist(), reach[last].tolist())]
 
 
 def min_cover_exhaustive(

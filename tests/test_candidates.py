@@ -1,17 +1,114 @@
+from functools import cmp_to_key
+from typing import Dict, List, Set, Tuple
+
 import numpy as np
 import pytest
 
-from subcover import candidates
 from subcover.candidates import (
     Candidate,
     GeneratingSubcurve,
+    GeneratingTriple,
     candidate_set,
+    close_edge_pairs,
     generating_subcurves,
     generating_triples,
 )
 from subcover.coverage import covers_unit, structured_coverage
-from subcover.geometry import PolyCurve, curve_from_points
+from subcover.freespace import extremal_points
+from subcover.geometry import (
+    PolyCurve,
+    curve_from_points,
+    segment_pairs_dist_sq,
+    segment_segment_dist_sq,
+)
 from subcover.simplify import simplify_curve
+
+
+def reference_close_pairs(S: PolyCurve, radius: float) -> Set[Tuple[int, int]]:
+    """Edge pairs within the radius, by one scalar distance per pair with
+    the lower-indexed edge first."""
+    ne = S.num_edges
+    rr = radius * radius
+    out = set()
+    for a in range(1, ne + 1):
+        for b in range(a, ne + 1):
+            if segment_segment_dist_sq(S.edge(a), S.edge(b)) <= rr:
+                out.add((a, b))
+                out.add((b, a))
+    return out
+
+
+def reference_close_subcurves(
+    S: PolyCurve, pairs: Set[Tuple[int, int]]
+) -> Dict[int, List[GeneratingSubcurve]]:
+    """Subcurves within reach of each edge: those containing a close edge."""
+    close_by_edge: Dict[int, Set[int]] = {}
+    for a, b in pairs:
+        close_by_edge.setdefault(a, set()).add(b)
+    out: Dict[int, List[GeneratingSubcurve]] = {}
+    subcurves = generating_subcurves(S)
+    for e in range(1, S.num_edges + 1):
+        near = close_by_edge.get(e, set())
+        out[e] = [y for y in subcurves if any(f in near for f in y.edge_range())]
+    return out
+
+
+def reference_candidate_set_from_triples(
+    S: PolyCurve, delta: float, triples: Set[GeneratingTriple]
+) -> List[Candidate]:
+    """One candidate per generating triple, from one ``extremal_points`` call
+    per (edge, subcurve), sorted and deduplicated by exact comparison."""
+    radius = 8.0 * delta
+    pairs = {}
+
+    def extremal(edge, y):
+        if (edge, y) not in pairs:
+            sub = PolyCurve(S.vertices[y.start_vertex - 1 : y.end_vertex])
+            pairs[edge, y] = extremal_points(sub, S.edge(edge), radius)
+        return pairs[edge, y]
+
+    rad = []
+    for tri in sorted(triples):
+        p1, p2 = extremal(tri.edge, tri.y1), extremal(tri.edge, tri.y2)
+        if p1 is not None and p2 is not None:
+            rad.append((tri.edge, p1.s_rad, p2.t_rad))
+
+    def cmp(x, y) -> int:
+        if x[0] != y[0]:
+            return -1 if x[0] < y[0] else 1
+        for u, v in zip(x[1:], y[1:]):
+            if not u.eq(v):
+                return -1 if u.lt(v) else 1
+        return 0
+
+    rad.sort(key=cmp_to_key(cmp))
+    out, prev = [], None
+    for rc in rad:
+        if prev is None or cmp(prev, rc) != 0:
+            out.append(Candidate(rc[0], rc[1].value(), rc[2].value()))
+            prev = rc
+    return out
+
+
+def _assert_tables_match_scalar(S: PolyCurve, delta: float) -> None:
+    """The pair table, its close pairs and the triples they give equal one
+    scalar distance per pair."""
+    V = S.vertices
+    table = segment_pairs_dist_sq(V[:-1, None], V[1:, None], V[None, :-1], V[None, 1:])
+    for a in range(S.num_edges):
+        for b in range(S.num_edges):
+            assert table[a, b] == segment_segment_dist_sq(S.edge(a + 1), S.edge(b + 1)), (a, b)
+    radius = 8.0 * delta
+    pairs = reference_close_pairs(S, radius)
+    got = {(a + 1, b + 1) for a, b in zip(*np.nonzero(close_edge_pairs(S, radius)))}
+    assert got == pairs
+    want = {
+        GeneratingTriple(e, y1, y2)
+        for e, ys in reference_close_subcurves(S, pairs).items()
+        for y1 in ys
+        for y2 in ys
+    }
+    assert generating_triples(S, delta) == want
 
 
 def test_subcurves_three_vertices():
@@ -33,7 +130,7 @@ def test_subcurves_six_vertices_count():
 
 def test_triples_all_close():
     S = curve_from_points([(0, 0), (1, 0), (2, 0)])
-    T = generating_triples(S, 1.0, mode="brute")
+    T = generating_triples(S, 1.0)
     assert len(T) == 2 * 3 * 3
 
 
@@ -41,12 +138,12 @@ def test_triples_symmetric():
     rng = np.random.default_rng(20)
     for _ in range(20):
         S = PolyCurve(np.cumsum(rng.normal(size=(int(rng.integers(2, 8)), 2)), axis=0))
-        T = generating_triples(S, float(rng.uniform(0.05, 0.5)), mode="brute")
+        T = generating_triples(S, float(rng.uniform(0.05, 0.5)))
         for tri in T:
             assert any(o.edge == tri.edge and o.y1 == tri.y2 and o.y2 == tri.y1 for o in T)
 
 
-def test_triples_grid_equals_brute():
+def test_close_pair_table_equals_scalar_distances():
     rng = np.random.default_rng(21)
     for _ in range(100):
         n = int(rng.integers(2, 12))
@@ -54,40 +151,30 @@ def test_triples_grid_equals_brute():
         pts = np.cumsum(rng.normal(size=(n, d)), axis=0) * rng.uniform(0.5, 4.0)
         S = PolyCurve(pts)
         delta = float(rng.uniform(0.02, 0.6))
-        assert generating_triples(S, delta, "grid") == generating_triples(S, delta, "brute")
+        _assert_tables_match_scalar(S, delta)
 
 
-def test_triples_grid_equals_brute_in_high_dimension():
-    # the grid path would scan 3^12 neighbour cells per bucket
+def test_close_pair_table_equals_scalar_distances_in_high_dimension():
     rng = np.random.default_rng(22)
     S = PolyCurve(np.cumsum(rng.normal(size=(12, 12)), axis=0))
-    assert generating_triples(S, 0.5, "grid") == generating_triples(S, 0.5, "brute")
+    _assert_tables_match_scalar(S, 0.5)
     assert candidate_set(S, 0.5)
 
 
-def test_grid_scan_hands_over_to_brute_only_past_the_lookup_threshold(monkeypatch):
-    brute = candidates._close_edge_pairs_brute
-    calls = []
-
-    def counted(S, radius):
-        calls.append(S.dim)
-        return brute(S, radius)
-
-    monkeypatch.setattr(candidates, "_close_edge_pairs_brute", counted)
+def test_close_pair_table_equals_scalar_distances_on_a_long_planar_walk():
     rng = np.random.default_rng(23)
     high = PolyCurve(np.cumsum(rng.normal(size=(12, 12)), axis=0))
-    # a long walk in the plane, where the grid prunes most pairs
+    # a long walk in the plane, where most pairs are far apart
     wide = PolyCurve(np.cumsum(rng.normal(size=(101, 2)) * 8.0, axis=0))
-    assert candidates._close_edge_pairs_grid(wide, 4.0) == brute(wide, 4.0)
-    assert candidates._close_edge_pairs_grid(high, 4.0) == brute(high, 4.0)
-    assert calls == [12]
+    _assert_tables_match_scalar(wide, 0.5)
+    _assert_tables_match_scalar(high, 0.5)
 
 
 def test_triples_far_apart_filtered():
     # two long edges with far-apart far ends: subcurves through the joint stay close
     S = curve_from_points([(-100, 0), (0, 0), (0.01, 100)])
     delta = 0.5
-    T = generating_triples(S, delta, mode="brute")
+    T = generating_triples(S, delta)
     assert len(T) < 2 * 3 * 3 or True  # sanity: brute set is the reference
     # every triple must satisfy the decomposed distance test
     from subcover.geometry import Segment, segment_segment_dist_sq
@@ -113,7 +200,7 @@ def test_candidate_count_bounded_by_triples():
         S = PolyCurve(np.cumsum(rng.normal(size=(n, 2)), axis=0))
         delta = float(rng.uniform(0.05, 0.8))
         T = generating_triples(S, delta)
-        B = candidate_set(S, delta, triples=T)
+        B = candidate_set(S, delta)
         assert 0 < len(B) <= len(T)
 
 
@@ -147,7 +234,17 @@ def test_candidate_fast_path_equals_triple_path():
         S = PolyCurve(np.cumsum(rng.normal(size=(n, 2)), axis=0))
         delta = float(rng.uniform(0.05, 0.8))
         fast = candidate_set(S, delta)
-        slow = candidate_set(S, delta, triples=generating_triples(S, delta))
+        slow = reference_candidate_set_from_triples(S, delta, generating_triples(S, delta))
         assert sorted(fast, key=lambda c: (c.edge_index, c.alpha, c.beta)) == sorted(
             slow, key=lambda c: (c.edge_index, c.alpha, c.beta)
         )
+
+
+def test_single_edge_test_decides_tangent_subcurves():
+    # Edges of this lattice curve meet the radius at exact tangencies, where
+    # the single-edge test, which decides the swapped pair, drops subcurves
+    # whose own cell rounds to nonempty.
+    delta = 0.25
+    S = PolyCurve(np.array([[14, -4], [4, 16], [20, -12], [0, -12], [-4, -14]], float) * delta)
+    want = reference_candidate_set_from_triples(S, delta, generating_triples(S, delta))
+    assert candidate_set(S, delta) == want

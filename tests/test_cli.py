@@ -1,9 +1,12 @@
 import functools
 import json
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import subcover.cli as cli
 from subcover.cli import ParseError, RunConfig, ingest, main, render_svg, run, write_curve
@@ -46,6 +49,69 @@ def test_ingest_errors(tmp_path):
     empty = write(tmp_path, "f.txt", "# nothing\n")
     with pytest.raises(ParseError):
         ingest(empty)
+
+
+def test_ingest_names_the_line_of_non_finite_and_colliding_points(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, text in (("nan.txt", "0 0\n1 nan\n"), ("inf.txt", "0 0\n2 0\n-inf 1\n")):
+            with pytest.raises(ParseError, match=f"{name}:{text.count(chr(10))}: non-finite"):
+                ingest(write(tmp_path, name, text))
+        # distinct points whose arclength parameters round to the same value
+        colliding = write(tmp_path, "far.txt", "0 0\n1e17 0\n1e17 1\n")
+        with pytest.raises(ParseError, match="far.txt:3: .*arclength parameter"):
+            ingest(colliding)
+        # steps that overflow
+        with pytest.raises(ParseError, match="huge.txt:2: .*arclength parameter"):
+            ingest(write(tmp_path, "huge.txt", "0 0\n1e308 0\n-1e308 0\n"))
+
+
+@pytest.mark.parametrize("variant", ["explicit", "implicit", "greedy"])
+@pytest.mark.parametrize("text", ["3 4\n", "1 1\n1 1\n1,1\n"])
+def test_single_point_input_verifies(tmp_path, capsys, variant, text):
+    path = write(tmp_path, "one.txt", text)
+    assert main(["--input", path, "--delta", "1.0", "--verify", "--variant", variant]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "PASS" and report["n_vertices"] == 1
+    assert report["coverage"] == [[0.0, 1.0]]
+
+
+_FINITE = ["0", "1", "-2", "0.5", "3", "1e17"]
+_FIELDS = st.sampled_from(_FINITE + ["nan", "inf", "-inf"])
+
+
+@st.composite
+def degenerate_files(draw):
+    """Point files made of a few repeated points, with the odd non-finite
+    field, ragged row, comment or blank line."""
+    dim = draw(st.integers(1, 3))
+    point = st.lists(st.sampled_from(_FINITE), min_size=dim, max_size=dim)
+    pool = draw(st.lists(point, min_size=1, max_size=3))
+    lines = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", "# comment"])))
+        elif kind == 1:
+            lines.append(" ".join(draw(st.lists(_FIELDS, min_size=1, max_size=4))))
+        else:
+            lines.append(", ".join(draw(st.sampled_from(pool))))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(degenerate_files(), st.sampled_from(["explicit", "implicit", "greedy"]))
+def test_degenerate_files_succeed_or_exit_2_with_a_message(tmp_path, capsys, text, variant):
+    path = write(tmp_path, "deg.txt", text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["--input", path, "--delta", "1.0", "--verify", "--variant", variant])
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert json.loads(out)["verdict"] == "PASS"
+    else:
+        assert code == 2 and err.startswith("error: ") and len(err) > len("error: \n"), (code, err)
 
 
 def test_ingest_write_roundtrip(tmp_path):

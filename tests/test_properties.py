@@ -1,6 +1,8 @@
 """Property tests: the filtered float paths against the radical-exact contract,
-and the per-edge candidate tables against one extremal_points call per
-subcurve.
+the per-curve candidate tables against one extremal_points call per
+subcurve, and the array paths against the scalar code they replace, bit for
+bit: batched dot products, the predicates' float steps, the candidate dedup
+and ``oracle.full_coverage``.
 
 Curves come in dimensions 2, 3 and 5, with coincident non-adjacent vertices
 and grid-snapped coordinates; delta ranges over 1e-6..1e3 and the geometry
@@ -16,9 +18,9 @@ from hypothesis import strategies as st
 
 from subcover.candidates import (
     Candidate,
-    _close_edge_pairs_brute,
-    _close_subcurves_by_edge,
+    _CurveTables,
     _dedup_radicals,
+    _sorted_distinct,
     candidate_set,
 )
 from subcover.coverage import (
@@ -29,9 +31,26 @@ from subcover.coverage import (
     merge_intervals,
 )
 from subcover.freespace import decide_frechet_subcurve_segment, extremal_points
-from subcover.geometry import EdgePoint, PolyCurve, Segment
+from subcover.geometry import (
+    EdgePoint,
+    Interval,
+    PolyCurve,
+    Segment,
+    arclength_params,
+    ball_segment_dots,
+    ball_segment_radical,
+    ball_segment_radical_from_dots,
+    capsule_segment_dots,
+    capsule_segment_radical,
+    capsule_segment_radical_from_dots,
+    rowdot,
+)
+import subcover.oracle as oracle_module
+from subcover.oracle import full_coverage
+from subcover.radicals import ONE, Radical
 import subcover.simplify as simplify_module
 from subcover.simplify import ShortcutBlocks, _decide_between, shortcut_holds, simplify_curve
+from test_candidates import reference_close_pairs, reference_close_subcurves
 
 PROPERTY = settings(
     max_examples=60,
@@ -218,7 +237,7 @@ def reference_candidate_set(S: PolyCurve, delta: float) -> list:
     """Reference for candidate_set: one extremal_points call, with its own
     subcurve and free-space row, per close subcurve."""
     radius = 8.0 * delta
-    close = _close_subcurves_by_edge(S, _close_edge_pairs_brute(S, radius))
+    close = reference_close_subcurves(S, reference_close_pairs(S, radius))
     out = []
     for e in range(1, S.num_edges + 1):
         s_vals, t_vals = [], []
@@ -276,3 +295,210 @@ def test_candidate_tables_equal_per_subcurve_extremal_points(scene):
 def test_candidate_tables_equal_per_subcurve_extremal_points_on_lapped_routes(route):
     S, delta = route
     assert _bits(candidate_set(S, delta)) == _bits(reference_candidate_set(S, delta))
+
+
+# ---------------------------------------------------------------------------
+# array paths against the scalar code, bit for bit
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 12])
+def test_rowdot_equals_np_dot_bitwise(d):
+    # a numpy or BLAS upgrade that changes how either sums shows up here
+    rng = np.random.default_rng(d)
+    x = rng.normal(size=(4000, d)) * 10.0 ** rng.uniform(-6, 6, size=(4000, 1))
+    y = np.round(rng.normal(size=(4000, d)) * 8.0) / 8.0
+    want = [float(np.dot(a, b)) for a, b in zip(x, y)]
+    assert rowdot(x, y).tolist() == want
+    assert rowdot(x.reshape(40, 100, d), y.reshape(40, 100, d)).ravel().tolist() == want
+    assert [rowdot(a, b) for a, b in zip(x[:50], y[:50])] == want[:50]
+
+
+def _rad_key(iv):
+    if iv.empty:
+        return None
+    return tuple((r.a, r.b, r.sign) for r in (iv.lo, iv.hi))
+
+
+@PROPERTY
+@given(scenes(max_n=8, max_points=2), radius_factor)
+def test_predicates_from_table_dots_equal_scalar_predicates(scene, factor):
+    S, delta, extra = scene
+    radius = factor * delta
+    V = np.vstack([S.vertices, extra])
+    E0, E1 = S.vertices[:-1], S.vertices[1:]
+    balls = np.broadcast_arrays(*ball_segment_dots(E0[:, None], E1[:, None], V[None]))
+    caps = capsule_segment_dots(E0[:, None], E1[:, None], E0[None], E1[None])
+    caps = np.broadcast_arrays(*caps)
+    for e in range(S.num_edges):
+        for v in range(len(V)):
+            got = ball_segment_radical_from_dots(*[float(x[e, v]) for x in balls], radius)
+            assert _rad_key(got) == _rad_key(ball_segment_radical(E0[e], E1[e], V[v], radius))
+        for c in range(S.num_edges):
+            got = capsule_segment_radical_from_dots([float(x[e, c]) for x in caps], radius)
+            want = capsule_segment_radical(S.edge(e + 1), S.edge(c + 1), radius)
+            assert _rad_key(got) == _rad_key(want), (e, c)
+    # the gathered tables candidate_set reads, at its own radius
+    tables = _CurveTables(S, radius)
+    for (a, c) in tables._caps:
+        want = capsule_segment_radical(S.edge(a + 1), S.edge(c + 1), radius)
+        assert _rad_key(tables.capsule(a, c)) == _rad_key(want)
+    for (e, v) in tables._balls:
+        want = ball_segment_radical(E0[e], E1[e], S.vertices[v], radius)
+        assert _rad_key(tables.vertical(e, v)) == _rad_key(want)
+
+
+def reference_full_coverage(P: PolyCurve, C, delta: float):
+    """``oracle.full_coverage`` as one loop over the start edges per centre."""
+    ivs = []
+    for q in C:
+        ivs.extend(_coverage_all_windows_one(P, q, delta))
+    return merge_intervals(ivs)
+
+
+def _coverage_all_windows_one(P: PolyCurve, q: Segment, delta: float):
+    """Coverage intervals of one segment over all (i, j) edge windows."""
+    ne = P.num_edges
+    V = P.vertices
+    E0, E1 = V[:-1], V[1:]
+    dd = delta * delta
+
+    def edge_ball(center):
+        v = E1 - E0
+        w = E0 - center[None, :]
+        aa = (v * v).sum(axis=1)
+        bb = 2.0 * (v * w).sum(axis=1)
+        cc = (w * w).sum(axis=1) - dd
+        disc = bb * bb - 4 * aa * cc
+        safe = np.where(aa == 0, 1.0, aa)
+        root = np.sqrt(np.maximum(disc, 0.0))
+        lo = np.maximum((-bb - root) / (2 * safe), 0.0)
+        hi = np.minimum((-bb + root) / (2 * safe), 1.0)
+        degen = aa == 0
+        inside = cc <= 0
+        lo = np.where(degen, 0.0, lo)
+        hi = np.where(degen, 1.0, hi)
+        ok = np.where(degen, inside, (disc >= 0) & (lo <= hi))
+        return ok, lo, hi
+
+    bot_ok, bot_lo, _ = edge_ball(q.start)
+    top_ok, _, top_hi = edge_ball(q.end)
+
+    # vertical free intervals at internal vertices 2..n-1 (index v-2 below)
+    sv = q.end - q.start
+    aa = float(np.dot(sv, sv))
+    w = V[1:-1] - q.start[None, :]
+    if aa == 0.0:
+        inside = (w * w).sum(axis=1) <= dd
+        c_lo = np.where(inside, 0.0, np.inf)
+        c_hi = np.where(inside, 1.0, -np.inf)
+    else:
+        bb = -2.0 * (w * sv[None, :]).sum(axis=1)
+        cc = (w * w).sum(axis=1) - dd
+        disc = bb * bb - 4 * aa * cc
+        root = np.sqrt(np.maximum(disc, 0.0))
+        c_lo = np.maximum((-bb - root) / (2 * aa), 0.0)
+        c_hi = np.minimum((-bb + root) / (2 * aa), 1.0)
+        bad = (disc < 0) | (c_lo > c_hi)
+        c_lo = np.where(bad, np.inf, c_lo)
+        c_hi = np.where(bad, -np.inf, c_hi)
+
+    params = P.vertex_params
+    widths = np.diff(params)
+    lo_glob = params[:-1] + bot_lo * widths
+    hi_glob = params[:-1] + top_hi * widths
+
+    out = []
+    for i in range(1, ne + 1):
+        if not bot_ok[i - 1]:
+            continue
+        best_hi = -np.inf
+        if top_ok[i - 1] and bot_lo[i - 1] <= top_hi[i - 1]:
+            best_hi = hi_glob[i - 1]
+        cur = 0.0
+        for j in range(i + 1, ne + 1):
+            vi = j - 2  # vertical at vertex j
+            if c_lo[vi] > c_hi[vi]:
+                break
+            cur = max(cur, c_lo[vi])
+            if cur > c_hi[vi]:
+                break
+            if top_ok[j - 1]:
+                best_hi = max(best_hi, hi_glob[j - 1])
+        if best_hi > -np.inf:
+            out.append(Interval(float(lo_glob[i - 1]), float(best_hi)))
+    return out
+
+
+def _interval_bits(ivs):
+    return [(iv.lo.hex(), iv.hi.hex()) for iv in ivs]
+
+
+@PROPERTY
+@given(
+    scenes(max_n=40, max_points=3),
+    on_edges,
+    st.sampled_from([1.0, 3.0, 11.0]),
+    st.booleans(),
+    st.sampled_from([None, 7]),
+)
+def test_full_coverage_equals_reference_loop(scene, on_edges, factor, arclength, block):
+    S, delta, extra = scene
+    params = arclength_params(S.vertices)
+    if arclength and np.all(np.diff(params) > 0.0):
+        S = PolyCurve(S.vertices, params)
+    starts, ends = _segments(S, extra, on_edges)
+    # point centres: on free points, on vertices and on edges
+    C = [Segment(a, b) for a, b in zip(starts, ends)] + [Segment(a, a) for a in starts[::2]]
+    radius = factor * delta
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:  # many blocks of centres and of rows
+            mp.setattr(oracle_module, "BLOCK_ENTRIES", block)
+        got = full_coverage(S, C, radius)
+    assert _interval_bits(got) == _interval_bits(reference_full_coverage(S, C, radius))
+
+
+def test_full_coverage_drops_windows_whose_ends_round_together():
+    # The start ball meets the last edge about 1e-16 past its start, after
+    # the end ball has left it, so no window starts there.  Its start still
+    # rounds to the parameter where that edge begins, which the end ball's
+    # reach on the edge before also rounds to.
+    P = PolyCurve(np.array([[-20.0, 0.0], [-10.0, 0.0], [0.0, 0.0], [10.0, 0.0]]))
+    C = [Segment((1.0 + 1e-15, 0.0), (-1.0, 0.0))]
+    assert full_coverage(P, C, 1.0) == reference_full_coverage(P, C, 1.0) == []
+
+
+_HALVES = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+_RADICALS = st.one_of(
+    st.sampled_from([0.0, 1.0, 0.5, 1e-9]).map(Radical.exact),
+    # a -+ sqrt(k*k): exactly a -+ k, so equal values in different forms
+    st.tuples(_HALVES, _HALVES, st.sampled_from([-1, 1])).map(
+        lambda t: Radical(t[0], t[1] * t[1], t[2])
+    ),
+    st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 4.0), st.sampled_from([-1, 1])).map(
+        lambda t: Radical(*t)
+    ),
+    # one float value, but the first is less than the second
+    st.sampled_from([(1.0, 2.9450365878375937), (1.0, 2.945036587837595)]).map(
+        lambda t: Radical(*t)
+    ),
+)
+
+
+@PROPERTY
+@given(st.lists(_RADICALS, max_size=12), st.data())
+def test_dedup_equals_comparator_sort(vals, data):
+    # repeat some of the same objects, so runs of equal values are common
+    vals = vals + data.draw(st.lists(st.sampled_from(vals), max_size=6)) if vals else vals
+    got, want = _dedup_radicals(vals), _sorted_distinct(vals)
+    assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
+def test_dedup_keeps_the_comparator_sort_of_a_non_transitive_triple():
+    # Y = Z and X = Y, but Z < X: only a sort of the whole list by the
+    # comparator reproduces its result
+    X = Radical(-0.6432578693565985, 0.41378068648919103)
+    Y = Radical(-0.8309475019311126, 0.6904737509655563)
+    Z = Radical(-0.0, 0.0)
+    assert Y.eq(Z) and X.eq(Y) and Z.lt(X)
+    got = _dedup_radicals([ONE, ONE, ONE, X, Y, ONE, Z])
+    assert len(got) == 3 and got[0] is X and got[1] is Z and got[2] is ONE
