@@ -6,8 +6,8 @@ Only comparisons of squared quantities and linear arithmetic are used; the
 refinement bisects implicit points along the segment down to eps*delta
 spacing, so nothing ever takes a square root.
 
-This kernel is an alternative to the exact one in geometry.py; the package
-default stays exact and the row constructor accepts it as an override.
+This kernel is an alternative to the exact one in geometry.py; the solvers
+and the free-space rows use the exact one only.
 """
 
 from __future__ import annotations
@@ -128,24 +128,6 @@ def _bisect_crossing_desc(
         else:
             hi = mid
     return hi
-
-
-def row_kernel(eps: float):
-    """Ball-interval function usable as the free-space row kernel.
-
-    Returns intervals sandwiched between delta and (1+eps)*delta, converted
-    to the radical-interval form the row machinery expects.
-    """
-    from .geometry import RadInterval
-    from .radicals import Radical
-
-    def fn(p, q, center, delta):
-        iv = approx_ball_segment(p, q, center, delta, eps).interval
-        if iv.is_empty():
-            return RadInterval.make_empty()
-        return RadInterval(Radical.exact(iv.lo), Radical.exact(iv.hi))
-
-    return fn
 
 
 def approx_capsule_segment(

@@ -163,6 +163,8 @@ def run(config: RunConfig) -> dict:
                 "n_sampled": result.n_sampled,
                 "iterations": result.iterations,
                 "proper_updates": result.proper_iterations,
+                "coverage_filled": result.coverage_filled,
+                "coverage_cache_hits": result.coverage_cache_hits,
                 "centers": [[seg.start.tolist(), seg.end.tolist()] for seg in centers],
                 "coverage": [[iv.lo, iv.hi] for iv in coverage],
                 "verdict": verdict,

@@ -19,8 +19,7 @@ from .freespace import (
     _coverage_interval_on_row,
     _end_lower,
     _start_upper,
-    _sweep_crossings,
-    coverage_interval,
+    _window_contains,
     psi_ij_contains,
 )
 from .geometry import (
@@ -60,6 +59,75 @@ def merge_intervals(ivs: Sequence[Interval], slack: float = 0.0) -> CoverageSet:
 def covers_unit(ivs: Sequence[Interval], slack: float = 1e-9) -> bool:
     merged = merge_intervals(ivs, slack)
     return len(merged) == 1 and merged[0].lo <= slack and merged[0].hi >= 1.0 - slack
+
+
+class Coverage:
+    """Merged coverage intervals of many candidates in CSR layout.
+
+    Candidate k owns the sorted, disjoint intervals with ends
+    ``lo[offsets[k]:offsets[k+1]]`` and ``hi[offsets[k]:offsets[k+1]]``;
+    ``coverage[k]`` lists them as ``Interval`` objects.
+    """
+
+    __slots__ = ("offsets", "lo", "hi")
+
+    def __init__(self, offsets: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        self.offsets, self.lo, self.hi = offsets, lo, hi
+
+    @staticmethod
+    def of(per: Sequence[Sequence[Interval]]) -> "Coverage":
+        """The coverage of per-candidate interval lists, merged per candidate."""
+        owner = np.repeat(np.arange(len(per)), [len(ivs) for ivs in per])
+        lo = np.array([iv.lo for ivs in per for iv in ivs], dtype=float)
+        hi = np.array([iv.hi for ivs in per for iv in ivs], dtype=float)
+        return merge_owned(owner, lo, hi, len(per))
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __getitem__(self, k: int) -> List[Interval]:
+        a, b = self.offsets[k], self.offsets[k + 1]
+        return [Interval(x, y) for x, y in zip(self.lo[a:b].tolist(), self.hi[a:b].tolist())]
+
+    def take(self, idx: np.ndarray) -> "Coverage":
+        """The coverage of the candidates idx, in that order."""
+        first = self.offsets[idx]
+        count = self.offsets[idx + 1] - first
+        offsets = np.concatenate([[0], np.cumsum(count)])
+        flat = np.repeat(first - offsets[:-1], count) + np.arange(offsets[-1])
+        return Coverage(offsets, self.lo[flat], self.hi[flat])
+
+    def extended(self, *more: "Coverage") -> "Coverage":
+        """This coverage followed by the candidates of each of more."""
+        parts = (self,) + more
+        shifts = np.cumsum([0] + [p.lo.size for p in parts])
+        offsets = [self.offsets[:1]] + [p.offsets[1:] + s for p, s in zip(parts, shifts)]
+        lo, hi = (np.concatenate([getattr(p, end) for p in parts]) for end in ("lo", "hi"))
+        return Coverage(np.concatenate(offsets), lo, hi)
+
+
+def merge_owned(owner: np.ndarray, lo: np.ndarray, hi: np.ndarray, n: int) -> Coverage:
+    """``merge_intervals`` of each owner's intervals, for owners 0..n-1.
+
+    One lexsort on (owner, lo, hi), then a new interval wherever lo passes
+    the running maximum of the owner's earlier upper ends.  That maximum is
+    taken over integer keys, the owner above the rank of hi, so it never
+    reaches into the next owner.
+    """
+    keep = ~(lo > hi)  # drop empty intervals, as Interval.is_empty does
+    order = np.lexsort((hi[keep], lo[keep], owner[keep]))
+    owner, lo, hi = owner[keep][order], lo[keep][order], hi[keep][order]
+    by_hi = np.argsort(hi, kind="stable")
+    rank = np.empty_like(by_hi)
+    rank[by_hi] = np.arange(hi.size)
+    base = owner * hi.size
+    reach = hi[by_hi[np.maximum.accumulate(base + rank) - base]]
+    new = np.ones(hi.size, dtype=bool)
+    new[1:] = (owner[1:] != owner[:-1]) | (lo[1:] > reach[:-1])
+    first = np.flatnonzero(new)
+    last = np.flatnonzero(np.append(new[1:], hi.size > 0))  # ends of the runs
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(owner[first], minlength=n))])
+    return Coverage(offsets, lo[first], reach[last])
 
 
 def window_set(S: PolyCurve, t: EdgePoint) -> List[Tuple[int, int]]:
@@ -104,32 +172,29 @@ def point_not_covered(C: Sequence[Segment], S: PolyCurve, delta: float) -> Optio
     Returns the midpoint of the largest gap so reruns are reproducible and
     the point stays clear of coverage boundaries.
     """
-    return point_not_covered_from_intervals(S, structured_coverage(S, C, delta))
+    return point_not_covered_from_intervals(S, Coverage.of([structured_coverage(S, C, delta)]))
 
 
-def point_not_covered_from_intervals(
-    S: PolyCurve, covered: Sequence[Interval]
-) -> Optional[EdgePoint]:
-    """Uncovered-gap midpoint for precomputed coverage intervals."""
-    merged = merge_intervals(covered, slack=_GAP_SLACK)
-    gap = _largest_gap(merged)
-    if gap is None:
+def point_not_covered_from_intervals(S: PolyCurve, covered: Coverage) -> Optional[EdgePoint]:
+    """Uncovered-gap midpoint for precomputed coverage, of any number of candidates."""
+    order = np.argsort(covered.lo, kind="stable")
+    lo = covered.lo[order]
+    reach = np.maximum.accumulate(covered.hi[order])
+    # With gaps of at most _GAP_SLACK closed, the union of the intervals has
+    # a gap before interval k where lo[k] passes 0 and the reach of those
+    # before it, the latter by more than the slack, and one after the last
+    # where that reach is below 1.
+    a = np.zeros(lo.size + 1)  # where each gap starts
+    np.maximum(reach, 0.0, out=a[1:])
+    b = np.append(lo, 1.0)  # and ends
+    opens = b > a
+    opens[1:-1] &= lo[1:] > reach[:-1] + _GAP_SLACK
+    # the largest, the leftmost of equals
+    width = np.where(opens, b - a, 0.0)
+    g = int(width.argmax())
+    if width[g] == 0.0:
         return None
-    return S.locate(0.5 * (gap[0] + gap[1]))
-
-
-def _largest_gap(merged: CoverageSet) -> Optional[Tuple[float, float]]:
-    gaps: List[Tuple[float, float]] = []
-    prev = 0.0
-    for iv in merged:
-        if iv.lo > prev:
-            gaps.append((prev, iv.lo))
-        prev = max(prev, iv.hi)
-    if prev < 1.0:
-        gaps.append((prev, 1.0))
-    if not gaps:
-        return None
-    return max(gaps, key=lambda g: (g[1] - g[0], -g[0]))
+    return S.locate(float(0.5 * (a[g] + b[g])))
 
 
 def is_feasible(Q: Segment, S: PolyCurve, t: EdgePoint, delta: float) -> bool:
@@ -287,123 +352,144 @@ def feasible_rectangles(S: PolyCurve, t: EdgePoint, edge: int, delta: float) -> 
 #
 # The scalar operations above are the contract.  The helpers below make the
 # same window decisions for many candidate segments at once, as filtered
-# predicates over ``geometry.ball_intervals``: every comparison goes through
-# ``geometry.filtered_nonneg`` and every sweep across a window's inner
-# vertices through ``geometry.filtered_sweep``, which hold the tolerance
-# policy.  A window is dead when one of its decisions fails decisively, and
-# unsure when it is not dead and some decision is undecided.  Unsure
-# windows are decided by the scalar path, so the result is the scalar one.
-# Ties are common, not rare: candidate endpoints are extremal points of the
-# same radius, so their balls often touch a cell at a single point.
+# predicates over ``geometry.ball_intervals`` (``geometry.filtered_nonneg``
+# and ``geometry.filtered_sweep`` hold the tolerance policy).  A window is
+# dead when one of its decisions fails decisively, and unsure when it is not
+# dead and some decision is undecided.  Unsure windows are decided by the
+# scalar path on one exact ``FreeSpaceRow`` per candidate, so the result is
+# the scalar one.  Ties are common, not rare: candidate endpoints are
+# extremal points of the same radius, so their balls often touch a cell at a
+# single point.
+#
+# The window table.  One kernel call gives the bottoms and tops of every
+# (edge, candidate) cell, with the starts and then the ends as centres, and
+# one more the verticals at the inner vertices.  Stacked as shifted copies,
+# row k of window start i is the vertex after edge i+k, so one
+# ``filtered_sweep`` along that axis decides the crossings of every window
+# (start edge, length < MAX_WINDOW_EDGES) at once.
+#
+# The CSR layout.  ``Coverage`` keeps the merged intervals of many
+# candidates in flat arrays, with offsets per candidate; ``merge_owned``
+# builds it from the windows' (owner, lo, hi) with one lexsort and a running
+# maximum per owner, bitwise what ``merge_intervals`` gives each candidate.
 
 
-def _nonempty(balls: BallIntervals, k: int):
-    """(holds, undecided) for row k of the intervals being nonempty."""
-    return ~balls.tight[k] & (balls.lo[k] <= 1.0), balls.tight[k]
+class FreeSpaceRows(dict):
+    """Exact free-space rows of candidate segments, built on first use."""
+
+    def __init__(self, S: PolyCurve, starts: np.ndarray, ends: np.ndarray, delta: float):
+        super().__init__()
+        self.args = (S, starts, ends, delta)
+
+    def __missing__(self, k: int) -> FreeSpaceRow:
+        S, starts, ends, delta = self.args
+        row = self[k] = FreeSpaceRow(S, 1, S.n, Segment(starts[k], ends[k]), delta)
+        return row
 
 
-def _window_sweeps(vert: BallIntervals, first: int, count: int):
-    """Sweeps across the vertical rows first, first+1, ... of ``vert``.
+def _cell_balls(V: np.ndarray, starts: np.ndarray, ends: np.ndarray, delta: float):
+    """Bottoms and tops of the cells of the curve through the vertices V,
+    (edges, candidates) each, in one kernel call."""
+    N = starts.shape[0]
+    cells = ball_intervals(V[:-1, None], V[1:, None], np.concatenate([starts, ends])[None], delta)
+    bot = BallIntervals._make(a[:, :N] for a in cells)
+    return bot, BallIntervals._make(a[:, N:] for a in cells)
 
-    Returns (alive, unsure) with row k for the sweep across the first k of
-    those rows (k = 0..count, fewer where ``vert`` ends): ``alive`` where
-    every crossing holds decisively, ``unsure`` where the sweep stopped at
-    an undecided one (``geometry.filtered_sweep``).  Row 0 crosses nothing.
+
+def _window_table(b_holds, b_unsure, t_holds, t_unsure, vert: BallIntervals):
+    """(holds, unsure) of every window, as (lengths, edges, candidates) masks:
+    entry (L, i) is the window from edge i to edge i + L, for lengths
+    L < MAX_WINDOW_EDGES, and is False where that runs past the last edge.
+
+    The first four masks decide each edge as a window's first cell (its
+    bottom) and as its last cell (its top), per candidate; the table adds
+    the sweep across the window's inner vertices, ``vert``.
     """
-    rows = BallIntervals._make(a[first : first + count] for a in vert)
-    alive, unsure = filtered_sweep(rows, axis=0)
-    none = np.zeros((1, alive.shape[1]), dtype=bool)
-    return np.vstack([~none, alive]), np.vstack([none, unsure])
+    ne = b_holds.shape[0]
+    end = np.arange(ne) + np.arange(MAX_WINDOW_EDGES)[:, None]
+    inside = (end < ne)[..., None]
+    # clamped rows only reach windows past the last edge
+    last = np.minimum(end, ne - 1)
+    alive = np.ones(end.shape + b_holds.shape[1:], dtype=bool)
+    sweep_unsure = np.zeros_like(alive)
+    if ne > 1:
+        # row L - 1 of the stack is the L-th inner vertex of each window
+        stack = BallIntervals._make(a[last[1:] - 1] for a in vert)
+        alive[1:], sweep_unsure[1:] = filtered_sweep(stack, axis=0)
+    live = (b_holds | b_unsure) & (t_holds | t_unsure)[last] & (alive | sweep_unsure) & inside
+    holds = b_holds & t_holds[last] & alive & inside
+    return holds, live & (b_unsure | t_unsure[last] | sweep_unsure)
 
 
 def batch_candidate_coverage(
     S: PolyCurve, starts: np.ndarray, ends: np.ndarray, delta: float
-) -> List[List[Interval]]:
+) -> Coverage:
     """``candidate_coverage_intervals`` for many candidate segments at once."""
-    # window-table entries (edges x candidates) per block of candidates
-    step = max(BLOCK_ENTRIES // max(S.num_edges, 1), 1)
-    out: List[List[Interval]] = []
-    for k in range(0, starts.shape[0], step):
-        out.extend(_coverage_block(S, starts[k : k + step], ends[k : k + step], delta))
-    return out
+    # entries of the stacked sweep (inner vertices x edges x candidates) per block
+    step = max(BLOCK_ENTRIES // ((MAX_WINDOW_EDGES - 1) * max(S.num_edges, 1)), 1)
+    blocks = [
+        _coverage_block(S, starts[k : k + step], ends[k : k + step], delta)
+        for k in range(0, starts.shape[0], step)
+    ]
+    return blocks[0] if len(blocks) == 1 else Coverage.of([]).extended(*blocks)
 
 
-def _coverage_block(S: PolyCurve, starts: np.ndarray, ends: np.ndarray, delta: float):
-    N = starts.shape[0]
-    ne = S.num_edges
+def _coverage_block(S: PolyCurve, starts: np.ndarray, ends: np.ndarray, delta: float) -> Coverage:
     params = S.vertex_params
-    V = S.vertices
-    widths = np.diff(params)
-    # bottoms and tops of every cell (edge x candidate), verticals at the
-    # inner vertices 2..ne (row v-2) on every candidate
-    bot = ball_intervals(V[:-1, None], V[1:, None], starts[None], delta)
-    top = ball_intervals(V[:-1, None], V[1:, None], ends[None], delta)
-    vert = ball_intervals(starts[None], ends[None], V[1:-1, None], delta)
-    lo_glob = params[:-1, None] + bot.lo * widths[:, None]
-    hi_glob = params[:-1, None] + top.hi * widths[:, None]
-
-    out: List[List[Interval]] = [[] for _ in range(N)]
-    rows: dict = {}  # candidate -> its exact free-space row, for unsure windows
-    for i in range(ne):
-        b_holds, b_undecided = _nonempty(bot, i)
-        if not (b_holds | b_undecided).any():
-            continue
-        # window (i, j) crosses the inner vertices i..j-1, rows i..j-1 of vert
-        alive, unsure = _window_sweeps(vert, i, MAX_WINDOW_EDGES - 1)
-        for j in range(i, min(i + MAX_WINDOW_EDGES, ne)):
-            t_holds, t_undecided = _nonempty(top, j)
-            holds = b_holds & t_holds & alive[j - i]
-            undecided = b_undecided | t_undecided | unsure[j - i]
-            if j == i:
-                margin = top.hi[j] - bot.lo[i]
-                m_holds, m_undecided = filtered_nonneg(margin, bot.err[i] + top.err[j])
-                undecided |= holds & m_undecided
-                holds &= m_holds
-            dead = ~(b_holds | b_undecided) | ~(t_holds | t_undecided)
-            dead |= ~(alive[j - i] | unsure[j - i])
-            for idx in np.nonzero(holds)[0]:
-                out[idx].append(Interval(float(lo_glob[i, idx]), float(hi_glob[j, idx])))
-            for idx in np.nonzero(undecided & ~dead)[0]:
-                row = rows.get(idx)
-                if row is None:
-                    q = Segment(starts[idx], ends[idx])
-                    row = rows[idx] = FreeSpaceRow(S, 1, S.n, q, delta)
-                iv = _coverage_interval_on_row(row, i + 1, j + 1)
-                if not iv.is_empty():
-                    out[idx].append(iv)
-            if not ((b_holds | b_undecided) & (alive[j - i] | unsure[j - i])).any():
-                break
-    return [merge_intervals(ivs) for ivs in out]
+    widths = np.diff(params)[:, None]
+    bot, top = _cell_balls(S.vertices, starts, ends, delta)
+    vert = ball_intervals(starts[None], ends[None], S.vertices[1:-1, None], delta)
+    lo_glob = params[:-1, None] + bot.lo * widths
+    hi_glob = params[:-1, None] + top.hi * widths
+    # a cell's bottom or top holds where it is nonempty
+    holds, unsure = _window_table(
+        ~bot.tight & (bot.lo <= 1.0), bot.tight, ~top.tight & (top.lo <= 1.0), top.tight, vert
+    )
+    # a one-cell window also needs its start below its end
+    m_holds, m_unsure = filtered_nonneg(top.hi - bot.lo, bot.err + top.err)
+    unsure[0] |= holds[0] & m_unsure
+    holds[0] &= m_holds
+    L, i, k = np.nonzero(holds)
+    owner, lo, hi = [k], [lo_glob[i, k]], [hi_glob[i + L, k]]
+    rows = FreeSpaceRows(S, starts, ends, delta)
+    for L, i, k in np.argwhere(unsure).tolist():  # the scalar path
+        iv = _coverage_interval_on_row(rows[k], i + 1, i + L + 1)
+        owner.append([k])
+        lo.append([iv.lo])
+        hi.append([iv.hi])
+    return merge_owned(*map(np.concatenate, (owner, lo, hi)), starts.shape[0])
 
 
 def batch_feasible_mask(
-    S: PolyCurve, t: EdgePoint, starts: np.ndarray, ends: np.ndarray, delta: float
+    S: PolyCurve, t: EdgePoint, starts: np.ndarray, ends: np.ndarray, delta: float, rows=None
 ) -> np.ndarray:
-    """``is_feasible`` evaluated for many candidate segments at once."""
-    N = starts.shape[0]
-    wins = window_set(S, t)
-    # the windows' cells are edges lo..hi-1, their inner vertices lo+1..hi-1
-    lo = min(i for i, _ in wins)
-    hi = max(j for _, j in wins)
-    V = S.vertices
-    bot = ball_intervals(V[lo - 1 : hi - 1, None], V[lo:hi, None], starts[None], delta)
-    top = ball_intervals(V[lo - 1 : hi - 1, None], V[lo:hi, None], ends[None], delta)
-    vert = ball_intervals(starts[None], ends[None], V[lo : hi - 1, None], delta)
-    feas = np.zeros(N, dtype=bool)
-    unsure = []  # (window, candidates) decided by the scalar path
-    for (i, j) in wins:
-        bi, tj = i - lo, j - 1 - lo
-        su = float(_start_upper(t, i).value())
-        b_holds, b_undecided = filtered_nonneg(su - bot.lo[bi], bot.err[bi], bot.tight[bi])
-        el = float(_end_lower(t, j - 1).value())
-        t_holds, t_undecided = filtered_nonneg(top.hi[tj] - el, top.err[tj], top.tight[tj])
-        # inner vertices i+1..j-1 are rows i-lo..j-lo-2 of vert
-        alive, sweep_unsure = (a[-1] for a in _window_sweeps(vert, i - lo, j - i - 1))
-        dead = ~(b_holds | b_undecided) | ~(t_holds | t_undecided)
-        dead |= ~(alive | sweep_unsure)
-        feas |= b_holds & t_holds & alive
-        unsure.append(((i, j), np.nonzero((b_undecided | t_undecided | sweep_unsure) & ~dead)[0]))
-    for (i, j), idxs in unsure:
-        for idx in idxs[~feas[idxs]]:
-            feas[idx] = psi_ij_contains(S, i, j, t, Segment(starts[idx], ends[idx]), delta)
+    """``is_feasible`` evaluated for many candidate segments at once.
+
+    ``rows``, ``FreeSpaceRows`` of the candidates, serve the scalar path;
+    calls on the same candidates share them by passing the same ``rows``.
+    """
+    # window_set's windows start on edges lo..ip and end on edges ip..hi-1
+    ip = t.edge_index
+    lo, hi = max(ip - MAX_WINDOW_EDGES + 1, 1), min(ip + MAX_WINDOW_EDGES, S.n)
+    V = S.vertices[lo - 1 : hi]
+    bot, top = _cell_balls(V, starts, ends, delta)
+    su = np.array([[_start_upper(t, e).value()] for e in range(lo, hi)])
+    el = np.array([[_end_lower(t, e).value()] for e in range(lo, hi)])
+    b_holds, b_unsure = filtered_nonneg(su - bot.lo, bot.err, bot.tight)
+    t_holds, t_unsure = filtered_nonneg(top.hi - el, top.err, top.tight)
+    b_holds[ip - lo + 1 :] = b_unsure[ip - lo + 1 :] = False
+    t_holds[: ip - lo] = t_unsure[: ip - lo] = False
+    # only candidates with a live first and a live last cell can be feasible
+    k = np.flatnonzero((b_holds | b_unsure).any(axis=0) & (t_holds | t_unsure).any(axis=0))
+    vert = ball_intervals(starts[k][None], ends[k][None], V[1:-1, None], delta)
+    holds, unsure = _window_table(*(a[:, k] for a in (b_holds, b_unsure, t_holds, t_unsure)), vert)
+    feas = np.zeros(starts.shape[0], dtype=bool)
+    feas[k] = holds.any(axis=(0, 1))
+    if rows is None:
+        rows = FreeSpaceRows(S, starts, ends, delta)
+    # the scalar path, in window_set's order; window (L, i) runs from edge
+    # lo + i to edge lo + i + L
+    for i, L, c in sorted((i, L, k[c]) for L, i, c in np.argwhere(unsure).tolist()):
+        if not feas[c]:
+            feas[c] = _window_contains(rows[c], lo + i, lo + i + L + 1, t)
     return feas

@@ -41,7 +41,6 @@ class FreeSpaceRow:
         "hi_vertex",
         "seg",
         "delta",
-        "ball_fn",
         "_bottoms",
         "_tops",
         "_verts",
@@ -54,7 +53,6 @@ class FreeSpaceRow:
         hi_vertex: int,
         seg: Segment,
         delta: float,
-        ball_fn=None,
     ):
         if not (1 <= lo_vertex < hi_vertex <= curve.n):
             raise IndexError("vertex range out of bounds")
@@ -63,7 +61,6 @@ class FreeSpaceRow:
         self.hi_vertex = hi_vertex
         self.seg = seg
         self.delta = float(delta)
-        self.ball_fn = ball_fn if ball_fn is not None else ball_segment_radical
         self._bottoms = {}
         self._tops = {}
         self._verts = {}
@@ -73,7 +70,7 @@ class FreeSpaceRow:
         iv = self._bottoms.get(cell)
         if iv is None:
             e = self.curve.edge(cell)
-            iv = self.ball_fn(e.start, e.end, self.seg.start, self.delta)
+            iv = ball_segment_radical(e.start, e.end, self.seg.start, self.delta)
             self._bottoms[cell] = iv
         return iv
 
@@ -82,7 +79,7 @@ class FreeSpaceRow:
         iv = self._tops.get(cell)
         if iv is None:
             e = self.curve.edge(cell)
-            iv = self.ball_fn(e.start, e.end, self.seg.end, self.delta)
+            iv = ball_segment_radical(e.start, e.end, self.seg.end, self.delta)
             self._tops[cell] = iv
         return iv
 
@@ -90,7 +87,8 @@ class FreeSpaceRow:
         """Segment parameters within delta of a curve vertex."""
         iv = self._verts.get(vertex)
         if iv is None:
-            iv = self.ball_fn(self.seg.start, self.seg.end, self.curve.vertex(vertex), self.delta)
+            v = self.curve.vertex(vertex)
+            iv = ball_segment_radical(self.seg.start, self.seg.end, v, self.delta)
             self._verts[vertex] = iv
         return iv
 
@@ -108,13 +106,10 @@ class FreeSpaceRow:
 
 
 def free_space_row(
-    P: PolyCurve, lo_vertex: int, hi_vertex: int, seg: Segment, delta: float, ball_fn=None
+    P: PolyCurve, lo_vertex: int, hi_vertex: int, seg: Segment, delta: float
 ) -> FreeSpaceRow:
-    """Materialize all boundary intervals for the cells in the vertex range.
-
-    ball_fn switches the interval kernel; the default is the exact one.
-    """
-    row = FreeSpaceRow(P, lo_vertex, hi_vertex, seg, delta, ball_fn)
+    """Materialize all boundary intervals for the cells in the vertex range."""
+    row = FreeSpaceRow(P, lo_vertex, hi_vertex, seg, delta)
     for c in row.cells():
         row.bottom(c)
         row.top(c)
@@ -205,7 +200,11 @@ def psi_ij_contains(P: PolyCurve, i: int, j: int, t: EdgePoint, seg: Segment, de
         raise IndexError("window indices out of range")
     if not _t_in_window(t, i, j):
         raise ValueError("t must lie within the window's parameter range")
-    row = FreeSpaceRow(P, i, j, seg, delta)
+    return _window_contains(FreeSpaceRow(P, i, j, seg, delta), i, j, t)
+
+
+def _window_contains(row: FreeSpaceRow, i: int, j: int, t: EdgePoint) -> bool:
+    """``psi_ij_contains`` on a row of the segment that spans the window."""
     bot = row.bottom(i)
     if bot.empty or not bot.lo.le(_start_upper(t, i)):
         return False

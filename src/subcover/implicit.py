@@ -23,17 +23,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .candidates import Candidate, candidate_segments
-from .coverage import (
-    batch_candidate_coverage,
-    feasible_rectangles,
-    point_not_covered_from_intervals,
-)
-from .geometry import EdgePoint, Interval, PolyCurve
+from .coverage import Coverage, feasible_rectangles, point_not_covered_from_intervals
+from .geometry import EdgePoint, PolyCurve
 from .simplify import Simplification, simplify_curve
 from .solver import (
     CoverResult,
     SolverConfig,
     SolverFailure,
+    _CoverageCache,
     _promote_single_vertex,
     shrink_cover,
 )
@@ -420,7 +417,9 @@ def implicit_approx_cover(
     delta_p = 9.0 * delta
     base = build_structure(S, delta, [], feas_delta=delta_p)
     n_cand = base.candidate_count()
-    cov_cache: Dict[Candidate, List[Interval]] = {}
+    no_segments = np.empty((0, S.dim))
+    cov_cache = _CoverageCache(S, no_segments, no_segments, delta_p)
+    cov_slots: Dict[Candidate, int] = {}  # each grid candidate's row in cov_cache.table
     total_rounds = 0
     k = 1
     while True:
@@ -446,8 +445,8 @@ def implicit_approx_cover(
             # the round's distinct draws, in (edge, alpha, beta) order
             keys = np.unique(arr.sample_candidates(k_prime, rng))
             drawn = [arr.candidate_at(key) for key in keys]
-            per = _coverage_of(S, drawn, delta_p, cov_cache)
-            witness = point_not_covered_from_intervals(S, [iv for ivs in per for iv in ivs])
+            per = _coverage_of(S, drawn, cov_cache, cov_slots)
+            witness = point_not_covered_from_intervals(S, per)
             if witness is None:
                 return CoverResult(
                     centers=[drawn[i] for i in shrink_cover(S, per)],
@@ -456,6 +455,8 @@ def implicit_approx_cover(
                     delta_out=delta_p,
                     proper_iterations=len(arr.update_log),
                     n_sampled=len(drawn),
+                    coverage_filled=cov_cache.filled,
+                    coverage_cache_hits=cov_cache.hits,
                 )
             pr = arr.feasible_weight(witness)
             if pr <= 1.0 / r:
@@ -463,11 +464,10 @@ def implicit_approx_cover(
                 i += 1
 
 
-def _coverage_of(S, drawn, delta_p, cache) -> List[List[Interval]]:
-    """Coverage intervals of each distinct grid candidate, filled into cache."""
-    missing = [c for c in drawn if c not in cache]
+def _coverage_of(S, drawn, cache: _CoverageCache, slots: Dict[Candidate, int]) -> Coverage:
+    """Coverage of each distinct grid candidate, filled into cache on first use."""
+    missing = [c for c in drawn if c not in slots]
+    cache.hits += len(drawn) - len(missing)
     if missing:
-        starts, ends = candidate_segments(S, missing)
-        for c, ivs in zip(missing, batch_candidate_coverage(S, starts, ends, delta_p)):
-            cache[c] = ivs
-    return [cache[c] for c in drawn]
+        slots.update(zip(missing, cache.append(*candidate_segments(S, missing)).tolist()))
+    return cache.table.take(np.array([slots[c] for c in drawn], dtype=np.intp))

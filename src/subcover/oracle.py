@@ -230,32 +230,6 @@ def psi_contains_brute(
     return bool(np.any(reach[end_ok][:, ny - 1]))
 
 
-def covered_params_brute(
-    P: PolyCurve,
-    windows: Sequence[Tuple[int, int]],
-    seg: Segment,
-    delta: float,
-    params: Sequence[float],
-    nx: int = 160,
-    ny: int = 160,
-) -> List[bool]:
-    """For each curve parameter, whether some window's traversal covers it."""
-    from .freespace import _t_in_window
-
-    out = []
-    for g in params:
-        ep = P.locate(g)
-        hit = False
-        for (i, j) in windows:
-            if not _t_in_window(ep, i, j):
-                continue
-            if psi_contains_brute(P, i, j, ep, seg, delta, nx, ny):
-                hit = True
-                break
-        out.append(hit)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # coverage oracles
 

@@ -27,18 +27,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .candidates import Candidate, candidate_segments, candidate_set
 from .coverage import (
+    Coverage,
+    FreeSpaceRows,
     batch_candidate_coverage,
     batch_feasible_mask,
     covers_unit,
     point_not_covered_from_intervals,
 )
-from .geometry import Interval, PolyCurve, Segment
+from .geometry import PolyCurve, Segment
 from .simplify import Simplification, simplify_curve
 
 GAMMA_SLOPE = 110  # feasibility test cost is linear in the dimension
@@ -148,6 +150,10 @@ class CoverResult:
     # candidates the centres were picked from: the successful round's
     # distinct draws, or the whole candidate set for the greedy baseline
     n_sampled: int = 0
+    # candidates whose coverage was computed, and draws that found theirs
+    # already computed
+    coverage_filled: int = 0
+    coverage_cache_hits: int = 0
 
     def center_segments(self, S: PolyCurve) -> List[Segment]:
         return [c.segment(S) for c in self.centers]
@@ -160,27 +166,37 @@ class _LoopStats:
 
 
 class _CoverageCache:
-    """Per-candidate structured coverage intervals, filled in vectorized blocks."""
+    """Structured coverage of the candidates filled so far, one table row each.
+
+    A candidate is filled on its first use, with the others new in the same
+    round; ``filled`` counts the candidates filled and ``hits`` the uses
+    that found theirs filled already.
+    """
 
     def __init__(self, S: PolyCurve, starts: np.ndarray, ends: np.ndarray, delta: float):
         self.S = S
         self.starts = starts
         self.ends = ends
         self.delta = delta
-        self._known: Dict[int, List[Interval]] = {}
+        self.slot = np.full(len(starts), -1)  # each candidate's row in table, once filled
+        self.table = Coverage.of([])
+        self.filled = self.hits = 0
+        self.rows = FreeSpaceRows(S, starts, ends, delta)  # for the feasibility masks
 
-    def _fill(self, missing: List[int]) -> None:
-        midx = np.asarray(missing, dtype=int)
-        got = batch_candidate_coverage(self.S, self.starts[midx], self.ends[midx], self.delta)
-        for i, ivs in zip(missing, got):
-            self._known[int(i)] = ivs
+    def append(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """Fill segments into new rows of the table; returns those rows."""
+        slots = np.arange(len(self.table), len(self.table) + len(starts))
+        self.table = self.table.extended(batch_candidate_coverage(self.S, starts, ends, self.delta))
+        self.filled += len(starts)
+        return slots
 
-    def intervals_for(self, distinct: np.ndarray) -> List[List[Interval]]:
-        """Coverage intervals of each given candidate; the indices must be distinct."""
-        missing = [i for i in distinct.tolist() if i not in self._known]
-        if missing:
-            self._fill(missing)
-        return [self._known[i] for i in distinct.tolist()]
+    def intervals_for(self, distinct: np.ndarray) -> Coverage:
+        """Coverage of each given candidate; the indices must be distinct."""
+        new = distinct[self.slot[distinct] < 0]
+        self.hits += distinct.size - new.size
+        if new.size:
+            self.slot[new] = self.append(self.starts[new], self.ends[new])
+        return self.table.take(self.slot[distinct])
 
 
 def k_approx_cover(
@@ -221,7 +237,7 @@ def k_approx_cover(
         # the round's distinct draws in increasing order
         drawn = np.flatnonzero(sample_indices(dist, k_prime, rng))
         per = cache.intervals_for(drawn)
-        witness = point_not_covered_from_intervals(S, [iv for ivs in per for iv in ivs])
+        witness = point_not_covered_from_intervals(S, per)
         if witness is None:
             keep = shrink_cover(S, per)
             return CoverResult(
@@ -231,8 +247,10 @@ def k_approx_cover(
                 delta_out=delta_p,
                 proper_iterations=stats.proper,
                 n_sampled=len(drawn),
+                coverage_filled=cache.filled,
+                coverage_cache_hits=cache.hits,
             )
-        feas = batch_feasible_mask(S, witness, cache.starts, cache.ends, delta_p)
+        feas = batch_feasible_mask(S, witness, cache.starts, cache.ends, delta_p, cache.rows)
         fidx = np.nonzero(feas)[0]
         pr = dist.probability(fidx)
         if pr <= 1.0 / r:
@@ -326,7 +344,8 @@ _GAIN_TOL = 1e-15
 class GreedyCore:
     """Greedy maximum coverage over the candidates' merged coverage intervals.
 
-    Every candidate's intervals sit in flat arrays (owner, lo, hi), and the
+    Every candidate's intervals sit in flat arrays (owner, lo, hi), read
+    from their ``Coverage``, and the
     covered union in sorted disjoint arrays with the covered length before
     each of its intervals.  The covered length below x is then one
     ``np.searchsorted`` away, so a step scores every candidate's marginal
@@ -335,14 +354,11 @@ class GreedyCore:
     gain more than ``_GAIN_TOL`` larger.
     """
 
-    def __init__(self, per: Sequence[Sequence[Interval]]):
+    def __init__(self, per: Coverage):
         self.n = len(per)
-        counts = [len(ivs) for ivs in per]
-        self.owner = np.repeat(np.arange(self.n), counts)
-        flat = [iv for ivs in per for iv in ivs]
-        self.lo = np.fromiter((iv.lo for iv in flat), float, len(flat))
-        self.hi = np.fromiter((iv.hi for iv in flat), float, len(flat))
-        self._offsets = np.concatenate([[0], np.cumsum(counts, dtype=int)])
+        self.owner = np.repeat(np.arange(self.n), np.diff(per.offsets))
+        self.lo, self.hi = per.lo, per.hi
+        self._offsets = per.offsets
         self.chosen: List[int] = []
         self._taken = np.zeros(self.n, dtype=bool)
         # the union starts with a sentinel interval below every parameter
@@ -409,12 +425,12 @@ class GreedyCore:
         self._ulo, self._uhi = lo[first], reach[last]
         self._before = np.concatenate([[0.0], np.cumsum(self._uhi - self._ulo)[:-1]])
 
-    def covered(self) -> List[Interval]:
-        """The covered union of the chosen candidates, sorted and disjoint."""
-        return [Interval(a, b) for a, b in zip(self._ulo[1:].tolist(), self._uhi[1:].tolist())]
+    def covered(self) -> Coverage:
+        """The covered union of the chosen candidates, as one candidate's."""
+        return Coverage(np.array([0, self._ulo.size - 1]), self._ulo[1:], self._uhi[1:])
 
 
-def shrink_cover(S: PolyCurve, per: Sequence[Sequence[Interval]]) -> List[int]:
+def shrink_cover(S: PolyCurve, per: Coverage) -> List[int]:
     """Ascending indices of a greedy subset of a covering sample that still covers S.
 
     ``per`` holds each sampled candidate's merged coverage intervals, which
@@ -453,7 +469,7 @@ def greedy_max_coverage(
         if pick is None:
             break
         core.add(pick)
-        if covers_unit(core.covered()):
+        if covers_unit(core.covered()[0]):
             break
     return CoverResult(
         centers=[B[i] for i in core.chosen],
@@ -461,4 +477,5 @@ def greedy_max_coverage(
         iterations=len(core.chosen),
         delta_out=delta,
         n_sampled=len(B),
+        coverage_filled=len(B),
     )

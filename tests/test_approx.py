@@ -128,26 +128,3 @@ def test_monotone_eps_gap():
         out = approx_ball_segment(p, q, r, delta, eps).interval
         assert exact.lo - out.lo <= eps * delta / seg_len + 1e-9
         assert out.hi - exact.hi <= eps * delta / seg_len + 1e-9
-
-
-def test_row_kernel_switch_brackets_exact_rows():
-    from subcover.approx import row_kernel
-    from subcover.freespace import free_space_row
-    from subcover.geometry import PolyCurve
-
-    rng = np.random.default_rng(52)
-    eps = 0.01
-    for _ in range(40):
-        n = int(rng.integers(2, 6))
-        P = PolyCurve(np.cumsum(rng.normal(size=(n, 2)), axis=0))
-        seg = Segment(rng.normal(size=2), rng.normal(size=2))
-        delta = float(abs(rng.normal()) + 0.2)
-        exact_in = free_space_row(P, 1, n, seg, delta)
-        exact_out = free_space_row(P, 1, n, seg, (1 + eps) * delta)
-        approx = free_space_row(P, 1, n, seg, delta, ball_fn=row_kernel(eps))
-        for c in exact_in.cells():
-            for key in ("bottom", "top", "left", "right"):
-                a = approx.cell_boundaries(c)[key]
-                i = exact_in.cell_boundaries(c)[key]
-                o = exact_out.cell_boundaries(c)[key]
-                assert _sandwich_ok(a, i, o)

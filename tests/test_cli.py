@@ -195,10 +195,18 @@ def test_report_counts_proper_updates(tmp_path, monkeypatch, variant):
     report = run(RunConfig(input_path=path, delta=0.5, variant=variant, verify=True, seed=2))
     assert report["verdict"] == "PASS"
     assert report["proper_updates"] == results[0].proper_iterations
+    assert report["coverage_filled"] == results[0].coverage_filled
+    assert report["coverage_cache_hits"] == results[0].coverage_cache_hits
     if variant == "greedy":
         assert report["proper_updates"] == 0
+        assert report["coverage_filled"] == report["n_sampled"]
+        assert report["coverage_cache_hits"] == 0
     else:
         assert 0 < report["proper_updates"] <= report["iterations"]
+        # every candidate of the last round is filled
+        assert report["coverage_filled"] >= report["n_sampled"]
+    if variant == "explicit":  # rounds redraw from a few hundred candidates
+        assert report["coverage_cache_hits"] > 0
 
 
 @pytest.mark.parametrize("variant", ["explicit", "implicit", "greedy"])

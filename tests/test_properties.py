@@ -1,8 +1,8 @@
 """Property tests: the filtered float paths against the radical-exact contract,
 the per-curve candidate tables against one extremal_points call per
 subcurve, and the array paths against the scalar code they replace, bit for
-bit: batched dot products, the predicates' float steps, the candidate dedup
-and ``oracle.full_coverage``.
+bit: batched dot products, the predicates' float steps, the candidate dedup,
+the coverage fill and ``oracle.full_coverage``.
 
 Curves come in dimensions 2, 3 and 5, with coincident non-adjacent vertices
 and grid-snapped coordinates; delta ranges over 1e-6..1e3 and the geometry
@@ -21,28 +21,42 @@ from subcover.candidates import (
     _CurveTables,
     _dedup_radicals,
     _sorted_distinct,
+    candidate_segments,
     candidate_set,
 )
+import subcover.coverage as coverage_module
 from subcover.coverage import (
+    MAX_WINDOW_EDGES,
+    FreeSpaceRows,
     batch_candidate_coverage,
     batch_feasible_mask,
     candidate_coverage_intervals,
     is_feasible,
     merge_intervals,
+    point_not_covered_from_intervals,
 )
-from subcover.freespace import decide_frechet_subcurve_segment, extremal_points
+from subcover.freespace import (
+    FreeSpaceRow,
+    _coverage_interval_on_row,
+    decide_frechet_subcurve_segment,
+    extremal_points,
+)
 from subcover.geometry import (
+    BallIntervals,
     EdgePoint,
     Interval,
     PolyCurve,
     Segment,
     arclength_params,
+    ball_intervals,
     ball_segment_dots,
     ball_segment_radical,
     ball_segment_radical_from_dots,
     capsule_segment_dots,
     capsule_segment_radical,
     capsule_segment_radical_from_dots,
+    filtered_nonneg,
+    filtered_sweep,
     rowdot,
 )
 import subcover.oracle as oracle_module
@@ -222,15 +236,109 @@ def test_batch_coverage_equals_scalar(scene, on_edges, factor):
     radius_factor,
     st.integers(0, 5),
     st.sampled_from([0.0, 0.125, 0.5, 0.75, 1.0]),
+    st.sampled_from(["segments", "candidates", "gap"]),
 )
-def test_batch_feasible_mask_equals_scalar(scene, on_edges, factor, edge, local):
+def test_batch_feasible_mask_equals_scalar(scene, on_edges, factor, edge, local, source):
     S, delta, extra = scene
-    starts, ends = _segments(S, extra, on_edges)
-    radius = factor * delta
+    if source == "segments":
+        starts, ends = _segments(S, extra, on_edges)
+        radius = factor * delta
+    else:
+        # candidate_set's candidates at their own radius, whose endpoints
+        # lie on the radius spheres of vertices
+        S, radius = PolyCurve(4.0 * S.vertices), 8.0 * delta
+        starts, ends = candidate_segments(S, candidate_set(S, delta))
     t = EdgePoint(edge % S.num_edges + 1, local)
-    mask = batch_feasible_mask(S, t, starts, ends, radius)
+    if source == "gap":
+        # a witness as the sampling loop queries it: the midpoint of a gap
+        # in the coverage of a third of the candidates
+        cov = batch_candidate_coverage(S, starts, ends, radius)
+        t = point_not_covered_from_intervals(S, cov.take(np.arange(edge % 3, len(cov), 3)))
+        assume(t is not None)
+    # exact rows shared with an earlier query, as a sampling loop shares them
+    rows = FreeSpaceRows(S, starts, ends, radius)
+    batch_feasible_mask(S, EdgePoint(1, 0.5), starts, ends, radius, rows)
+    mask = batch_feasible_mask(S, t, starts, ends, radius, rows)
+    assert mask.tolist() == batch_feasible_mask(S, t, starts, ends, radius).tolist()
     for k in range(len(starts)):
         assert mask[k] == is_feasible(Segment(starts[k], ends[k]), S, t, radius), k
+
+
+def reference_coverage_block(S: PolyCurve, starts: np.ndarray, ends: np.ndarray, delta: float):
+    """The coverage fill as one loop over start edges and window lengths,
+    with an ``Interval`` per window and a ``merge_intervals`` per candidate."""
+    N = starts.shape[0]
+    ne = S.num_edges
+    params = S.vertex_params
+    V = S.vertices
+    widths = np.diff(params)
+    bot = ball_intervals(V[:-1, None], V[1:, None], starts[None], delta)
+    top = ball_intervals(V[:-1, None], V[1:, None], ends[None], delta)
+    vert = ball_intervals(starts[None], ends[None], V[1:-1, None], delta)
+    lo_glob = params[:-1, None] + bot.lo * widths[:, None]
+    hi_glob = params[:-1, None] + top.hi * widths[:, None]
+
+    def nonempty(balls, k):
+        return ~balls.tight[k] & (balls.lo[k] <= 1.0), balls.tight[k]
+
+    out = [[] for _ in range(N)]
+    rows = {}
+    for i in range(ne):
+        b_holds, b_undecided = nonempty(bot, i)
+        if not (b_holds | b_undecided).any():
+            continue
+        # sweeps across the first 0..3 inner vertices after edge i
+        sweep = BallIntervals._make(a[i : i + MAX_WINDOW_EDGES - 1] for a in vert)
+        alive, unsure = filtered_sweep(sweep, axis=0)
+        none = np.zeros((1, N), dtype=bool)
+        alive, unsure = np.vstack([~none, alive]), np.vstack([none, unsure])
+        for j in range(i, min(i + MAX_WINDOW_EDGES, ne)):
+            t_holds, t_undecided = nonempty(top, j)
+            holds = b_holds & t_holds & alive[j - i]
+            undecided = b_undecided | t_undecided | unsure[j - i]
+            if j == i:
+                margin = top.hi[j] - bot.lo[i]
+                m_holds, m_undecided = filtered_nonneg(margin, bot.err[i] + top.err[j])
+                undecided |= holds & m_undecided
+                holds &= m_holds
+            dead = ~(b_holds | b_undecided) | ~(t_holds | t_undecided)
+            dead |= ~(alive[j - i] | unsure[j - i])
+            for idx in np.nonzero(holds)[0]:
+                out[idx].append(Interval(float(lo_glob[i, idx]), float(hi_glob[j, idx])))
+            for idx in np.nonzero(undecided & ~dead)[0]:
+                if idx not in rows:
+                    q = Segment(starts[idx], ends[idx])
+                    rows[idx] = FreeSpaceRow(S, 1, S.n, q, delta)
+                iv = _coverage_interval_on_row(rows[idx], i + 1, j + 1)
+                if not iv.is_empty():
+                    out[idx].append(iv)
+            if not ((b_holds | b_undecided) & (alive[j - i] | unsure[j - i])).any():
+                break
+    return [merge_intervals(ivs) for ivs in out]
+
+
+def _assert_fill_equals_reference(S, starts, ends, radius, block):
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:  # many blocks of candidates
+            mp.setattr(coverage_module, "BLOCK_ENTRIES", block)
+        got = batch_candidate_coverage(S, starts, ends, radius)
+    want = reference_coverage_block(S, starts, ends, radius)
+    assert len(got) == len(want)
+    for k in range(len(want)):
+        assert _interval_bits(got[k]) == _interval_bits(want[k]), k
+
+
+@PROPERTY
+@given(scenes(max_n=9, max_points=3), on_edges, radius_factor, st.sampled_from([None, 7]))
+def test_coverage_fill_equals_reference_loop(scene, on_edges, factor, block):
+    S, delta, extra = scene
+    starts, ends = _segments(S, extra, on_edges)
+    _assert_fill_equals_reference(S, starts, ends, factor * delta, block)
+    # candidate_set's candidates at 8*delta, with endpoints on vertex spheres;
+    # snapped scenes have lattice coordinates and a power-of-two delta
+    S = PolyCurve(4.0 * S.vertices)
+    starts, ends = candidate_segments(S, candidate_set(S, delta))
+    _assert_fill_equals_reference(S, starts, ends, 8.0 * delta, block)
 
 
 def reference_candidate_set(S: PolyCurve, delta: float) -> list:
@@ -295,6 +403,14 @@ def test_candidate_tables_equal_per_subcurve_extremal_points(scene):
 def test_candidate_tables_equal_per_subcurve_extremal_points_on_lapped_routes(route):
     S, delta = route
     assert _bits(candidate_set(S, delta)) == _bits(reference_candidate_set(S, delta))
+
+
+@PROPERTY
+@given(lapped_routes())
+def test_coverage_fill_equals_reference_loop_on_lapped_routes(route):
+    S, delta = route
+    starts, ends = candidate_segments(S, candidate_set(S, delta))
+    _assert_fill_equals_reference(S, starts, ends, 8.0 * delta, None)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from subcover.candidates import Candidate, candidate_segments, candidate_set
 from subcover.coverage import (
+    Coverage,
     batch_candidate_coverage,
     covers_unit,
     merge_intervals,
@@ -321,21 +322,21 @@ def test_shrink_keeps_both_sides_of_a_sub_tolerance_gap():
     # B alone leaves [0, 1e-17] open: A adds no measurable gain there, so
     # only the witness step can close it.
     S = curve_from_points([(0, 0), (10, 0)])
-    per = [[Interval(0.0, 0.5)], [Interval(1e-17, 1.0)]]
+    per = Coverage.of([[Interval(0.0, 0.5)], [Interval(1e-17, 1.0)]])
     assert shrink_cover(S, per) == [0, 1]
 
 
 def test_shrink_closes_a_gap_with_a_point_interval_next_to_it():
     # the point interval at 0 closes the gap only under the test's slack
     S = curve_from_points([(0, 0), (10, 0)])
-    per = [[Interval(0.0, 0.0)], [Interval(1e-17, 1.0)], [Interval(0.2, 0.4)]]
+    per = Coverage.of([[Interval(0.0, 0.0)], [Interval(1e-17, 1.0)], [Interval(0.2, 0.4)]])
     assert shrink_cover(S, per) == [0, 1]
 
 
 def test_shrink_rejects_a_sample_that_does_not_cover():
     S = curve_from_points([(0, 0), (10, 0)])
     with pytest.raises(ValueError):
-        shrink_cover(S, [[Interval(0.0, 0.4)], [Interval(0.6, 1.0)]])
+        shrink_cover(S, Coverage.of([[Interval(0.0, 0.4)], [Interval(0.6, 1.0)]]))
 
 
 def test_greedy_tie_rule_follows_the_index_order_scan():
@@ -346,7 +347,7 @@ def test_greedy_tie_rule_follows_the_index_order_scan():
     extra = (0.0, 2.0**-50, 2.0**-50 + 2.0**-51)
     per = [[Interval(lo, lo + 0.125 + e)] for lo, e in zip((0.0, 0.5, 0.75), extra)]
     assert reference_greedy(per, 1) == [2]
-    assert GreedyCore(per).best() == 2
+    assert GreedyCore(Coverage.of(per)).best() == 2
 
 
 def test_sampled_covers_are_subsets_of_the_sample():
@@ -401,10 +402,10 @@ def test_shrink_is_a_covering_subset_of_the_sample(scene, rnd):
     rnd.shuffle(sample)
     starts, ends = candidate_segments(S, sample)
     per = batch_candidate_coverage(S, starts, ends, radius)
-    assert point_not_covered_from_intervals(S, [iv for ivs in per for iv in ivs]) is None
+    assert point_not_covered_from_intervals(S, per) is None
     keep = shrink_cover(S, per)
     assert keep == sorted(set(keep)) and set(keep) <= set(range(len(sample)))
     assert shrink_cover(S, per) == keep
-    assert point_not_covered_from_intervals(S, [iv for k in keep for iv in per[k]]) is None
+    assert point_not_covered_from_intervals(S, per.take(np.array(keep))) is None
     centers = [sample[k].segment(S) for k in keep]
     assert covers_unit(structured_coverage(S, centers, radius))
