@@ -13,11 +13,10 @@ and the free-space rows use the exact one only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .geometry import Interval, Segment, as_point
+from .geometry import Interval, as_point
 
 
 @dataclass(frozen=True)
@@ -28,21 +27,6 @@ class SandwichInterval:
 
     def is_empty(self) -> bool:
         return self.interval.is_empty()
-
-
-def halfspace_segment_intersection(normal: Sequence[float], offset: float, seg: Segment) -> Interval:
-    """Parameter interval of the segment inside {x : <normal, x> <= offset}."""
-    nvec = as_point(normal)
-    if not np.any(nvec != 0.0):
-        raise ValueError("normal must be nonzero")
-    a0 = float(np.dot(nvec, seg.start))
-    a1 = float(np.dot(nvec, seg.direction()))
-    if a1 == 0.0:
-        return Interval(0.0, 1.0) if a0 <= offset else Interval.empty()
-    tstar = (offset - a0) / a1
-    if a1 > 0:
-        return Interval(0.0, min(tstar, 1.0)) if tstar >= 0 else Interval.empty()
-    return Interval(max(tstar, 0.0), 1.0) if tstar <= 1 else Interval.empty()
 
 
 def _dist_sq_at(p: np.ndarray, v: np.ndarray, r: np.ndarray, t: float) -> float:
@@ -128,73 +112,3 @@ def _bisect_crossing_desc(
         else:
             hi = mid
     return hi
-
-
-def approx_capsule_segment(
-    seg_st: Segment, seg_pq: Segment, delta: float, eps: float
-) -> SandwichInterval:
-    """Sandwich interval for the capsule around seg_st intersected with seg_pq.
-
-    Builds an orthogonal (not normalized) basis with the first direction
-    along seg_st, splits seg_pq into the three distance regimes and treats
-    each with the ball construction; the hull of the pieces is returned.
-    """
-    if delta <= 0 or eps <= 0:
-        raise ValueError("delta and eps must be positive")
-    s, tt = seg_st.start, seg_st.end
-    axis = tt - s
-    aa = float(np.dot(axis, axis))
-    if aa == 0.0:
-        return approx_ball_segment(seg_pq.start, seg_pq.end, s, delta, eps)
-    p, q = seg_pq.start, seg_pq.end
-    v = q - p
-    # regime coordinate: projection onto the axis, scaled to [0,1] over the capsule body
-    u0 = float(np.dot(p - s, axis)) / aa
-    u1 = float(np.dot(v, axis)) / aa
-    outer = (1.0 + eps) * delta
-
-    pieces = []
-
-    def add_piece(iv: Interval):
-        if not iv.is_empty():
-            pieces.append(iv)
-
-    def sub_params(lo: float, hi: float):
-        lo, hi = max(lo, 0.0), min(hi, 1.0)
-        return (lo, hi) if lo <= hi else None
-
-    if u1 == 0.0:
-        regimes = [(0.0, 1.0, 0 if u0 < 0 else (2 if u0 > 1 else 1))]
-    else:
-        t_at0 = (0.0 - u0) / u1
-        t_at1 = (1.0 - u0) / u1
-        lo_t, hi_t = min(t_at0, t_at1), max(t_at0, t_at1)
-        first = 0 if u1 > 0 else 2
-        regimes = [(-np.inf, lo_t, first), (lo_t, hi_t, 1), (hi_t, np.inf, 2 - first)]
-    for lo, hi, kind in regimes:
-        rng = sub_params(lo, hi)
-        if rng is None:
-            continue
-        a_pt = p + rng[0] * v
-        b_pt = p + rng[1] * v
-        if kind == 0:
-            iv = approx_ball_segment(a_pt, b_pt, s, delta, eps).interval
-        elif kind == 2:
-            iv = approx_ball_segment(a_pt, b_pt, tt, delta, eps).interval
-        else:
-            # orthogonal-band regime: remove the axis component, ball around origin
-            ap = a_pt - s
-            bp = b_pt - s
-            ap = ap - (float(np.dot(ap, axis)) / aa) * axis
-            bp = bp - (float(np.dot(bp, axis)) / aa) * axis
-            origin = np.zeros_like(ap)
-            iv = approx_ball_segment(ap, bp, origin, delta, eps).interval
-        if not iv.is_empty():
-            # map back from the subsegment to seg_pq's parameter
-            width = rng[1] - rng[0]
-            add_piece(Interval(rng[0] + iv.lo * width, rng[0] + iv.hi * width))
-    if not pieces:
-        return SandwichInterval(delta, outer, Interval.empty())
-    return SandwichInterval(
-        delta, outer, Interval(min(pc.lo for pc in pieces), max(pc.hi for pc in pieces))
-    )

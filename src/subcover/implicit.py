@@ -1,4 +1,4 @@
-"""Implicit weight maintenance over a per-edge grid of candidate subsegments.
+"""Implicit weights over a per-edge grid of candidate subsegments.
 
 Instead of materializing candidates, each edge carries a uniform parameter
 grid; a candidate is a (start, end) pair of grid values.  Weight doubling
@@ -7,10 +7,14 @@ stored as an arrangement of cells with a doubling count per cell.  All
 weights are integers (powers of two times point counts), which keeps the
 distribution exact no matter how many updates occur.
 
-As in the explicit search, the cover returned is a greedy subset of the
-successful round's distinct draws (``solver.shrink_cover``), rechecked at
-the working radius 9*delta by the test that accepted the round; the
-12*delta guarantee on the input therefore holds for the subset too.
+``EdgeArrangement`` is a weighting of ``solver.doubling_search``, the same
+search that runs the explicit weights: it draws candidate numbers, maps a
+number to its ``Candidate``, weighs the feasible set of a witness and
+rebuilds itself with that set doubled.  ``implicit_approx_cover`` only
+simplifies, builds the arrangement and runs that search at radius 9*delta
+(one extra delta pays for snapping candidates to the grid), so the cover it
+returns passes the same rechecks as an explicit one and is a 12*delta cover
+of the input.
 """
 
 from __future__ import annotations
@@ -18,22 +22,15 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .candidates import Candidate, candidate_segments
-from .coverage import Coverage, feasible_rectangles, point_not_covered_from_intervals
+from .candidates import Candidate
+from .coverage import feasible_rectangles
 from .geometry import EdgePoint, PolyCurve
-from .simplify import Simplification, simplify_curve
-from .solver import (
-    CoverResult,
-    SolverConfig,
-    SolverFailure,
-    _CoverageCache,
-    _promote_single_vertex,
-    shrink_cover,
-)
+from .simplify import Simplification
+from .solver import CoverResult, SolverConfig, doubling_search, search_curve
 
 UpdateLog = List[EdgePoint]
 
@@ -183,7 +180,8 @@ class EdgeArrangement:
         self.xcuts: List[np.ndarray] = []
         self.ycuts: List[np.ndarray] = []
         self.scount: List[np.ndarray] = []
-        self.cell_weight: List[List[int]] = []
+        # flat cumulative weight over (edge, xi, yi) in order
+        self._cum: List[int] = []
         total = 0
         for e in range(ne):
             grid = self.grids[e]
@@ -211,24 +209,14 @@ class EdgeArrangement:
             gx = np.diff(xc)
             gy = np.diff(yc)
             counts = np.outer(gx, gy)
-            weights: List[int] = []
             for xi in range(nx):
                 for yi in range(ny):
-                    w = int(counts[xi, yi]) << int(s[xi, yi])
-                    weights.append(w)
-                    total += w
+                    total += int(counts[xi, yi]) << int(s[xi, yi])
+                    self._cum.append(total)
             self.xcuts.append(xc)
             self.ycuts.append(yc)
             self.scount.append(s)
-            self.cell_weight.append(weights)
         self.total_weight = total
-        # flat cumulative over (edge, xi, yi) in order
-        self._cum: List[int] = []
-        acc = 0
-        for e in range(ne):
-            for w in self.cell_weight[e]:
-                acc += w
-                self._cum.append(acc)
         self._cell_index: List[Tuple[int, int, int]] = []
         self._key_base: List[int] = []  # number of the first candidate of each edge
         # per cell: number of its first candidate, grid size of its edge,
@@ -268,14 +256,8 @@ class EdgeArrangement:
         xc, yc = self.xcuts[e], self.ycuts[e]
         xi = int(np.searchsorted(xc, xj, side="right")) - 1
         yi = int(np.searchsorted(yc, yj, side="right")) - 1
-        ny = len(yc) - 1
         w = 1 << int(self.scount[e][xi, yi])
         return w / self.total_weight
-
-    def sample_candidate(self, rng: np.random.Generator) -> Candidate:
-        if self.total_weight <= 0:
-            raise ValueError("empty distribution")
-        return self.candidate_at(self.sample_candidates(1, rng)[0])
 
     def sample_candidates(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """count exact draws, as candidate numbers.
@@ -300,6 +282,10 @@ class EdgeArrangement:
             out[k] = self._key_in_cell(ci, x - prev)
         return out
 
+    def distinct_draws(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """Increasing numbers of the candidates hit by count draws."""
+        return np.unique(self.sample_candidates(count, rng))
+
     def _key_in_cell(self, ci: int, offset: int) -> int:
         """Number of the candidate at the given offset into cell ci's weight."""
         e, xi, yi = self._cell_index[ci]
@@ -318,6 +304,9 @@ class EdgeArrangement:
         grid = self.grids[e]
         xj, yj = divmod(key - self._key_base[e], grid.size)
         return Candidate(e + 1, grid.value(xj), grid.value(yj))
+
+    def log2_total(self) -> float:
+        return math.log2(self.total_weight)
 
     def feasible_weight(self, t: EdgePoint, delta: Optional[float] = None) -> float:
         """Probability mass of the candidates able to cover t."""
@@ -374,100 +363,21 @@ def build_structure(
     return EdgeArrangement(S, delta, update_log, delta if feas_delta is None else feas_delta)
 
 
-def sample_candidate(arr: EdgeArrangement, rng: np.random.Generator) -> Candidate:
-    """One draw from the arrangement distribution."""
-    return arr.sample_candidate(rng)
-
-
-def feasible_weight(
-    arr: EdgeArrangement, S: PolyCurve, t: EdgePoint, delta: Optional[float] = None
-) -> float:
-    """Probability mass of the feasible set of t under the arrangement."""
-    if S is not arr.S:
-        raise ValueError("arrangement was built for a different curve")
-    return arr.feasible_weight(t, delta)
-
-
 def implicit_approx_cover(
     P: PolyCurve,
     delta: float,
-    cfg: SolverConfig = SolverConfig(variant="implicit"),
+    cfg: SolverConfig = SolverConfig(),
     *,
     simplification: Optional[Simplification] = None,
 ) -> CoverResult:
     """Cover search over the implicit grid distribution; 12*delta on the input.
 
-    Works at radius 9*delta on the simplification (one extra delta pays for
-    snapping candidates to the grid), with the distribution rebuilt from the
-    update log after every weight doubling.  A precomputed simplification of
-    P at delta may be passed to skip simplifying again.
-
-    The returned centres are ``solver.shrink_cover``'s greedy subset of the
-    successful round's distinct draws, in sorted order.  The subset passes
-    the same 9*delta coverage test as the whole round, so the 12*delta
-    guarantee holds for it.
+    Works at radius 9*delta on the simplification, with a grid at spacing
+    delta; the arrangement is rebuilt from its update log after every weight
+    doubling.  A precomputed simplification of P at delta may be passed to
+    skip simplifying again.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    P = _promote_single_vertex(P)
-    simp = simplification if simplification is not None else simplify_curve(P, delta)
-    S = _promote_single_vertex(simp.curve)
-    gamma = cfg.resolve_gamma(P.dim)
-    rng = np.random.default_rng(cfg.rng_seed)
+    S = search_curve(P, delta, simplification)
     delta_p = 9.0 * delta
     base = build_structure(S, delta, [], feas_delta=delta_p)
-    n_cand = base.candidate_count()
-    no_segments = np.empty((0, S.dim))
-    cov_cache = _CoverageCache(S, no_segments, no_segments, delta_p)
-    cov_slots: Dict[Candidate, int] = {}  # each grid candidate's row in cov_cache.table
-    total_rounds = 0
-    k = 1
-    while True:
-        k *= 2
-        if k > cfg.max_k:
-            raise SolverFailure(
-                "target size cap exceeded",
-                {"max_k": cfg.max_k, "candidates": n_cand, "rounds": total_rounds},
-            )
-        r = 2.0 * k
-        if cfg.k_prime_override is not None:
-            k_prime = cfg.k_prime_override
-        else:
-            k_prime = math.ceil(16 * k * gamma * math.log(16 * k * gamma))
-        i_max = max(math.ceil(5 * k * math.log2(n_cand / k)) if n_cand > k else 0, 1)
-        arr = base
-        i = 1
-        rounds = 0
-        max_rounds = max(1000, 20 * i_max)
-        while i <= i_max and rounds < max_rounds:
-            rounds += 1
-            total_rounds += 1
-            # the round's distinct draws, in (edge, alpha, beta) order
-            keys = np.unique(arr.sample_candidates(k_prime, rng))
-            drawn = [arr.candidate_at(key) for key in keys]
-            per = _coverage_of(S, drawn, cov_cache, cov_slots)
-            witness = point_not_covered_from_intervals(S, per)
-            if witness is None:
-                return CoverResult(
-                    centers=[drawn[i] for i in shrink_cover(S, per)],
-                    k_found=k,
-                    iterations=total_rounds,
-                    delta_out=delta_p,
-                    proper_iterations=len(arr.update_log),
-                    n_sampled=len(drawn),
-                    coverage_filled=cov_cache.filled,
-                    coverage_cache_hits=cov_cache.hits,
-                )
-            pr = arr.feasible_weight(witness)
-            if pr <= 1.0 / r:
-                arr = arr.rebuilt_with(witness)
-                i += 1
-
-
-def _coverage_of(S, drawn, cache: _CoverageCache, slots: Dict[Candidate, int]) -> Coverage:
-    """Coverage of each distinct grid candidate, filled into cache on first use."""
-    missing = [c for c in drawn if c not in slots]
-    cache.hits += len(drawn) - len(missing)
-    if missing:
-        slots.update(zip(missing, cache.append(*candidate_segments(S, missing)).tolist()))
-    return cache.table.take(np.array([slots[c] for c in drawn], dtype=np.intp))
+    return doubling_search(S, base, base.candidate_count(), delta_p, cfg)

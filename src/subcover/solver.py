@@ -1,33 +1,47 @@
 """Bicriteria segment-cover search by sampling with multiplicative weights.
 
-The driver doubles a target size k.  For each k it repeatedly samples a
-large candidate batch from a weighted distribution; if the batch fails to
-cover the simplification, the weights of every candidate able to cover a
-witness uncovered point are doubled (only when that feasible set is light,
-which keeps total weight growth in check).  A successful batch at working
-radius 8*delta on the simplification is an 11*delta cover of the input.
+One search serves both of the paper's algorithms, which are the same
+Brönnimann-Goodrich loop over different weight storage.  ``doubling_search``
+doubles a target size k; for each k, ``k_approx_cover`` starts again from
+the initial weighting and draws batches of k' candidates.  If a batch fails
+to cover the curve, the weights of every candidate able to cover a witness
+uncovered point are doubled, but only when that feasible set is light
+(mass at most 1/r), so each update multiplies the total weight by at most
+1 + 1/r; that bound is checked after every update.
 
-A round needs only which candidates its k' draws hit, so it draws the
-per-candidate counts from one multinomial (``sample_indices``), in time and
-memory linear in the number of candidates whatever k' is.  The counts have
-exactly the law of the histogram of k' independent draws, so the law of
-every round is that of k' separate draws; the random stream is not, and a
-seed picks different rounds than when each draw was taken on its own.
+A weighting (``Weighting``) is a distribution over numbered candidates.
+An update returns a new weighting, so every k can start again from the
+initial one.  There are two:
+
+- ``ExplicitDist`` keeps a float weight per candidate of an explicit list;
+  a candidate's number is its index.  The search runs at radius 8*delta on
+  the simplification, which gives an 11*delta cover of the input.
+- ``implicit.EdgeArrangement`` keeps exact integer weights on cells of
+  per-edge candidate grids; the search runs at 9*delta, for 12*delta.
+
+The search reads coverage from one cache per solve, keyed by candidate
+number (``_CoverageCache``), and holds nothing per candidate it never drew.
+
+An explicit round needs only which candidates its k' draws hit, so it draws
+the per-candidate counts from one multinomial (``sample_indices``), in time
+and memory linear in the number of candidates whatever k' is.  The counts
+have exactly the law of the histogram of k' independent draws, so the law
+of every round is that of k' separate draws; the random stream is not, and
+a seed picks different rounds than when each draw was taken on its own.
 
 The batch itself is not returned: ``shrink_cover`` picks a greedy subset of
 its distinct draws and stops as soon as that subset passes the same
 coverage test, ``point_not_covered_from_intervals``, that declared the batch
-a success.  So the 8*delta structured coverage, and with it the 11*delta
-guarantee, is rechecked on what is returned, not assumed.  The greedy
-baseline, ``greedy_max_coverage``, runs on the same array greedy,
-``GreedyCore``.
+a success.  So the structured coverage, and with it the guarantee on the
+input, is rechecked on what is returned, not assumed.  The greedy baseline,
+``greedy_max_coverage``, runs on the same array greedy, ``GreedyCore``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -40,7 +54,7 @@ from .coverage import (
     covers_unit,
     point_not_covered_from_intervals,
 )
-from .geometry import PolyCurve, Segment
+from .geometry import EdgePoint, PolyCurve, Segment
 from .simplify import Simplification, simplify_curve
 
 GAMMA_SLOPE = 110  # feasibility test cost is linear in the dimension
@@ -57,7 +71,7 @@ class SolverConfig:
     gamma: Optional[int] = None  # default: 110*d + 412
     rng_seed: int = 0
     max_k: int = 2**20
-    variant: str = "explicit"
+    variant: str = "explicit"  # ignored: the function called picks the weighting
     k_prime_override: Optional[int] = None
     check_invariants: bool = True
     workers: int = 1  # ignored: the coverage fill runs in one thread
@@ -77,16 +91,39 @@ class SolverFailure(RuntimeError):
         self.diagnostics = diagnostics
 
 
+class Weighting(Protocol):
+    """Weights over numbered candidates, as the search reads them."""
+
+    def distinct_draws(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """Increasing numbers of the candidates hit by count independent draws."""
+
+    def candidate_at(self, number: int) -> Candidate:
+        """The candidate with the given number."""
+
+    def feasible_weight(self, t: EdgePoint) -> float:
+        """Probability mass of the candidates able to cover t."""
+
+    def rebuilt_with(self, t: EdgePoint) -> "Weighting":
+        """This weighting with the weight of every candidate able to cover t doubled."""
+
+    def log2_total(self) -> float:
+        """log2 of the total weight, for the growth bound."""
+
+
 @dataclass
 class ExplicitDist:
-    """Weighted candidate distribution.
+    """Weights over an explicit candidate list; candidate number i is candidates[i].
 
     Weights are kept normalized; log2_scale records the factor divided out
     so the true total weight remains available for the growth invariant.
+    ``rows``, the candidates' exact free-space rows at the working radius,
+    carry what a feasibility query needs: the curve, the candidate segments
+    and the radius.  Only ``feasible_weight`` and ``rebuilt_with`` read them.
     """
 
     candidates: List[Candidate]
     weights: np.ndarray
+    rows: Optional[FreeSpaceRows] = None
     total: float = field(init=False)
     log2_scale: float = 0.0
 
@@ -96,16 +133,50 @@ class ExplicitDist:
         if np.any(self.weights <= 0):
             raise ValueError("weights must be positive")
         self.total = float(self.weights.sum())
+        self._feasible = (None, None)  # the last witness queried and its feasible set
 
     @staticmethod
     def uniform(candidates: Sequence[Candidate]) -> "ExplicitDist":
         return ExplicitDist(list(candidates), np.ones(len(candidates)))
+
+    @staticmethod
+    def on(
+        S: PolyCurve, candidates: Sequence[Candidate], delta: float, weights: Optional[np.ndarray] = None
+    ) -> "ExplicitDist":
+        """Weights over candidates on S, uniform by default, queried at radius delta."""
+        starts, ends = candidate_segments(S, candidates)
+        w = np.ones(len(candidates)) if weights is None else weights
+        return ExplicitDist(list(candidates), w, FreeSpaceRows(S, starts, ends, delta))
 
     def log2_total(self) -> float:
         return math.log2(self.total) + self.log2_scale
 
     def probability(self, indices: np.ndarray) -> float:
         return float(self.weights[indices].sum() / self.total)
+
+    def distinct_draws(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        return np.flatnonzero(sample_indices(self, count, rng))
+
+    def candidate_at(self, number: int) -> Candidate:
+        return self.candidates[number]
+
+    def _feasible_set(self, t: EdgePoint) -> np.ndarray:
+        """Numbers of the candidates able to cover t, from one feasibility mask.
+
+        The last witness's set is kept, so ``rebuilt_with`` after
+        ``feasible_weight`` at the same witness computes no second mask.
+        """
+        if self._feasible[0] != t:
+            S, starts, ends, delta = self.rows.args
+            mask = batch_feasible_mask(S, t, starts, ends, delta, self.rows)
+            self._feasible = (t, np.flatnonzero(mask))
+        return self._feasible[1]
+
+    def feasible_weight(self, t: EdgePoint) -> float:
+        return self.probability(self._feasible_set(t))
+
+    def rebuilt_with(self, t: EdgePoint) -> "ExplicitDist":
+        return weight_update(self, self._feasible_set(t))
 
 
 def weight_update(dist: ExplicitDist, F: Sequence[int]) -> ExplicitDist:
@@ -119,9 +190,7 @@ def weight_update(dist: ExplicitDist, F: Sequence[int]) -> ExplicitDist:
     if peak > 2.0**500:  # renormalize well before float overflow
         w /= peak
         scale += math.log2(peak)
-    out = ExplicitDist(dist.candidates, w)
-    out.log2_scale = scale
-    return out
+    return ExplicitDist(dist.candidates, w, dist.rows, log2_scale=scale)
 
 
 def sample(dist: ExplicitDist, count: int, rng: np.random.Generator) -> List[Candidate]:
@@ -166,42 +235,36 @@ class _LoopStats:
 
 
 class _CoverageCache:
-    """Structured coverage of the candidates filled so far, one table row each.
+    """Structured coverage of the candidates drawn so far, keyed by candidate number.
 
-    A candidate is filled on its first use, with the others new in the same
-    round; ``filled`` counts the candidates filled and ``hits`` the uses
+    A candidate is filled on its first draw, with the others new in the same
+    round; ``filled`` counts the candidates filled and ``hits`` the draws
     that found theirs filled already.
     """
 
-    def __init__(self, S: PolyCurve, starts: np.ndarray, ends: np.ndarray, delta: float):
+    def __init__(self, S: PolyCurve, delta: float):
         self.S = S
-        self.starts = starts
-        self.ends = ends
         self.delta = delta
-        self.slot = np.full(len(starts), -1)  # each candidate's row in table, once filled
+        self.row: Dict[int, int] = {}  # each filled candidate's row in table
         self.table = Coverage.of([])
         self.filled = self.hits = 0
-        self.rows = FreeSpaceRows(S, starts, ends, delta)  # for the feasibility masks
 
-    def append(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-        """Fill segments into new rows of the table; returns those rows."""
-        slots = np.arange(len(self.table), len(self.table) + len(starts))
-        self.table = self.table.extended(batch_candidate_coverage(self.S, starts, ends, self.delta))
-        self.filled += len(starts)
-        return slots
-
-    def intervals_for(self, distinct: np.ndarray) -> Coverage:
-        """Coverage of each given candidate; the indices must be distinct."""
-        new = distinct[self.slot[distinct] < 0]
-        self.hits += distinct.size - new.size
-        if new.size:
-            self.slot[new] = self.append(self.starts[new], self.ends[new])
-        return self.table.take(self.slot[distinct])
+    def intervals_for(self, weighting: Weighting, drawn: np.ndarray) -> Coverage:
+        """Coverage of each given candidate; the numbers must be distinct."""
+        numbers = drawn.tolist()
+        new = [n for n in numbers if n not in self.row]
+        self.hits += len(numbers) - len(new)
+        if new:
+            self.row.update(zip(new, range(len(self.table), len(self.table) + len(new))))
+            starts, ends = candidate_segments(self.S, [weighting.candidate_at(n) for n in new])
+            self.table = self.table.extended(batch_candidate_coverage(self.S, starts, ends, self.delta))
+            self.filled += len(new)
+        return self.table.take(np.array([self.row[n] for n in numbers], dtype=np.intp))
 
 
 def k_approx_cover(
     S: PolyCurve,
-    dist: ExplicitDist,
+    weighting: Weighting,
     r: float,
     delta_p: float,
     k_prime: int,
@@ -215,7 +278,7 @@ def k_approx_cover(
     """Sampling loop for one target size; None when i_max updates were spent.
 
     On success the centres are ``shrink_cover``'s subset of the round's
-    distinct draws, in increasing candidate order.
+    distinct draws, in increasing candidate number.
 
     Proper iterations are the weight updates; sampling rounds whose feasible
     set is too heavy (probability above 1/r) do not count toward i_max.  A
@@ -224,24 +287,20 @@ def k_approx_cover(
     if stats is None:
         stats = _LoopStats()
     if cache is None:
-        starts, ends = candidate_segments(S, dist.candidates)
-        cache = _CoverageCache(S, starts, ends, delta_p)
-    log2_initial_total = dist.log2_total()
-    i = 1
-    local_proper = 0
-    rounds = 0
+        cache = _CoverageCache(S, delta_p)
+    log2_initial_total = weighting.log2_total()
+    updates = rounds = 0
     max_rounds = max(1000, 20 * i_max)
-    while i <= i_max and rounds < max_rounds:
+    while updates < i_max and rounds < max_rounds:
         rounds += 1
         stats.rounds += 1
-        # the round's distinct draws in increasing order
-        drawn = np.flatnonzero(sample_indices(dist, k_prime, rng))
-        per = cache.intervals_for(drawn)
+        drawn = weighting.distinct_draws(k_prime, rng)
+        per = cache.intervals_for(weighting, drawn)
         witness = point_not_covered_from_intervals(S, per)
         if witness is None:
             keep = shrink_cover(S, per)
             return CoverResult(
-                centers=[dist.candidates[k] for k in drawn[keep].tolist()],
+                centers=[weighting.candidate_at(n) for n in drawn[keep].tolist()],
                 k_found=0,
                 iterations=stats.rounds,
                 delta_out=delta_p,
@@ -250,20 +309,73 @@ def k_approx_cover(
                 coverage_filled=cache.filled,
                 coverage_cache_hits=cache.hits,
             )
-        feas = batch_feasible_mask(S, witness, cache.starts, cache.ends, delta_p, cache.rows)
-        fidx = np.nonzero(feas)[0]
-        pr = dist.probability(fidx)
-        if pr <= 1.0 / r:
-            dist = weight_update(dist, fidx)
-            i += 1
-            local_proper += 1
+        if weighting.feasible_weight(witness) <= 1.0 / r:
+            weighting = weighting.rebuilt_with(witness)
+            updates += 1
             stats.proper += 1
             if check_invariants:
                 # each light update multiplies total weight by at most 1 + 1/r
-                bound = local_proper * math.log2(1.0 + 1.0 / r)
-                if dist.log2_total() > log2_initial_total + bound + 1e-6:
+                bound = updates * math.log2(1.0 + 1.0 / r)
+                if weighting.log2_total() > log2_initial_total + bound + 1e-6:
                     raise RuntimeError("weight growth bound violated")
     return None
+
+
+def doubling_search(
+    S: PolyCurve, weighting: Weighting, n_candidates: int, delta_p: float, cfg: SolverConfig
+) -> CoverResult:
+    """Double the target size k until ``k_approx_cover`` covers S at radius delta_p.
+
+    Every k starts again from ``weighting``, which weighs n_candidates
+    candidates.  The random stream, the coverage cache and the round and
+    update counts carry across all k.
+    """
+    gamma = cfg.resolve_gamma(S.dim)
+    rng = np.random.default_rng(cfg.rng_seed)
+    cache = _CoverageCache(S, delta_p)
+    stats = _LoopStats()
+    k = 1
+    while True:
+        k *= 2
+        if k > cfg.max_k:
+            raise SolverFailure(
+                "target size cap exceeded",
+                {
+                    "max_k": cfg.max_k,
+                    "candidates": n_candidates,
+                    "rounds": stats.rounds,
+                    "proper_iterations": stats.proper,
+                },
+            )
+        if cfg.k_prime_override is not None:
+            k_prime = cfg.k_prime_override
+        else:
+            k_prime = math.ceil(16 * k * gamma * math.log(16 * k * gamma))
+        i_max = max(math.ceil(5 * k * math.log2(n_candidates / k)) if n_candidates > k else 0, 1)
+        result = k_approx_cover(
+            S,
+            weighting,
+            2.0 * k,
+            delta_p,
+            k_prime,
+            i_max,
+            rng,
+            cache=cache,
+            stats=stats,
+            check_invariants=cfg.check_invariants,
+        )
+        if result is not None:
+            result.k_found = k
+            return result
+
+
+def search_curve(P: PolyCurve, delta: float, simplification: Optional[Simplification]) -> PolyCurve:
+    """The curve a search covers: P's simplification at delta, given or computed."""
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    if simplification is None:
+        simplification = simplify_curve(_promote_single_vertex(P), delta)
+    return _promote_single_vertex(simplification.curve)
 
 
 def approx_cover(
@@ -276,57 +388,14 @@ def approx_cover(
 ) -> CoverResult:
     """Cover the input curve with segment centers at radius 11*delta.
 
-    Simplifies, generates candidate subsegments, then doubles the target
-    size k until the sampling loop returns a cover of the simplification at
+    Simplifies, generates candidate subsegments, then runs the doubling
+    search over explicit weights until a round covers the simplification at
     radius 8*delta.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    P = _promote_single_vertex(P)
-    simp = simplification if simplification is not None else simplify_curve(P, delta)
-    S = _promote_single_vertex(simp.curve)
+    S = search_curve(P, delta, simplification)
     B = candidates if candidates is not None else candidate_set(S, delta)
-    gamma = cfg.resolve_gamma(P.dim)
-    rng = np.random.default_rng(cfg.rng_seed)
     delta_p = 8.0 * delta
-    starts, ends = candidate_segments(S, B)
-    cache = _CoverageCache(S, starts, ends, delta_p)
-    stats = _LoopStats()
-    k = 1
-    while True:
-        k *= 2
-        if k > cfg.max_k:
-            raise SolverFailure(
-                "target size cap exceeded",
-                {
-                    "max_k": cfg.max_k,
-                    "candidates": len(B),
-                    "rounds": stats.rounds,
-                    "proper_iterations": stats.proper,
-                },
-            )
-        r = 2.0 * k
-        if cfg.k_prime_override is not None:
-            k_prime = cfg.k_prime_override
-        else:
-            k_prime = math.ceil(16 * k * gamma * math.log(16 * k * gamma))
-        i_max = max(math.ceil(5 * k * math.log2(len(B) / k)) if len(B) > k else 0, 1)
-        dist = ExplicitDist.uniform(B)
-        result = k_approx_cover(
-            S,
-            dist,
-            r,
-            delta_p,
-            k_prime,
-            i_max,
-            rng,
-            cache=cache,
-            stats=stats,
-            check_invariants=cfg.check_invariants,
-        )
-        if result is not None:
-            result.k_found = k
-            return result
+    return doubling_search(S, ExplicitDist.on(S, B, delta_p), len(B), delta_p, cfg)
 
 
 def _promote_single_vertex(P: PolyCurve) -> PolyCurve:

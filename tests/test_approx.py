@@ -1,27 +1,8 @@
 import numpy as np
 import pytest
 
-from subcover.approx import (
-    approx_ball_segment,
-    approx_capsule_segment,
-    halfspace_segment_intersection,
-)
-from subcover.geometry import (
-    Interval,
-    Segment,
-    ball_segment_intersection,
-    capsule_segment_intersection,
-)
-
-
-def test_halfspace_basic():
-    seg = Segment((0, 0), (1, 0))
-    iv = halfspace_segment_intersection((1, 0), 0.5, seg)
-    assert iv.lo == pytest.approx(0.0) and iv.hi == pytest.approx(0.5)
-    assert halfspace_segment_intersection((1, 0), 5.0, seg) == Interval(0.0, 1.0)
-    assert halfspace_segment_intersection((1, 0), -1.0, seg).is_empty()
-    with pytest.raises(ValueError):
-        halfspace_segment_intersection((0, 0), 0.0, seg)
+from subcover.approx import approx_ball_segment
+from subcover.geometry import ball_segment_intersection
 
 
 def test_approx_ball_spec_example():
@@ -74,40 +55,6 @@ def test_ball_sandwich_random(eps):
         exact_in = ball_segment_intersection(p, q, r, delta)
         exact_out = ball_segment_intersection(p, q, r, (1 + eps) * delta)
         assert _sandwich_ok(out, exact_in, exact_out), (p, q, r, delta, eps, out)
-
-
-@pytest.mark.parametrize("eps", [0.5, 0.1, 0.01])
-def test_capsule_sandwich_random(eps):
-    rng = np.random.default_rng(51)
-    for _ in range(400):
-        d = int(rng.choice([2, 3]))
-        st = Segment(rng.normal(size=d), rng.normal(size=d))
-        pq = Segment(rng.normal(size=d), rng.normal(size=d))
-        delta = float(abs(rng.normal()) + 0.05)
-        out = approx_capsule_segment(st, pq, delta, eps).interval
-        exact_in = capsule_segment_intersection(st, pq, delta)
-        exact_out = capsule_segment_intersection(st, pq, (1 + eps) * delta)
-        assert _sandwich_ok(out, exact_in, exact_out), (st, pq, delta, eps, out)
-
-
-def test_capsule_parallel_inside():
-    out = approx_capsule_segment(Segment((0, 0), (10, 0)), Segment((0, 1), (10, 1)), 2.0, 0.1)
-    assert out.interval.lo == pytest.approx(0.0) and out.interval.hi == pytest.approx(1.0)
-
-
-def test_capsule_degenerate_axis_falls_back_to_ball():
-    out = approx_capsule_segment(Segment((0, 0), (0, 0)), Segment((-1, 0), (1, 0)), 0.5, 0.01)
-    assert out.interval.lo == pytest.approx(0.25, abs=0.01)
-    assert out.interval.hi == pytest.approx(0.75, abs=0.01)
-
-
-def test_middle_regime_only():
-    # seg_pq strictly between the end planes of a long axis segment
-    st = Segment((-10, 0), (10, 0))
-    pq = Segment((-1, 2), (1, 2))
-    out = approx_capsule_segment(st, pq, 2.5, 0.05).interval
-    exact = capsule_segment_intersection(st, pq, 2.5)
-    assert out.lo <= exact.lo + 1e-9 and out.hi >= exact.hi - 1e-9
 
 
 def test_no_sqrt_in_module():

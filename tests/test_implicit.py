@@ -4,16 +4,11 @@ import numpy as np
 import pytest
 
 import subcover.implicit as implicit
+import subcover.solver as solver
 from subcover.candidates import Candidate
 from subcover.coverage import covers_unit, feasible_rectangles
 from subcover.geometry import EdgePoint, PolyCurve, curve_from_points
-from subcover.implicit import (
-    EdgeGrid,
-    build_structure,
-    feasible_weight,
-    implicit_approx_cover,
-    sample_candidate,
-)
+from subcover.implicit import EdgeGrid, build_structure, implicit_approx_cover
 from subcover.oracle import covers_unit as oracle_covers, full_coverage
 from subcover.solver import SolverConfig
 from subcover.simplify import simplify_curve
@@ -228,7 +223,7 @@ def test_sample_single_candidate_grid():
     arr = build_structure(S, 10.0, [])
     rng = np.random.default_rng(45)
     # spacing > 1: grid {0, 1} -> 4 candidates; shrink to the degenerate check
-    c = sample_candidate(arr, rng)
+    c = arr.candidate_at(arr.sample_candidates(1, rng)[0])
     assert c.edge_index == 1
 
 
@@ -259,7 +254,34 @@ def test_implicit_cover_reuses_a_given_simplification(monkeypatch):
     def no_simplify(*args):
         raise AssertionError("simplified again")
 
-    monkeypatch.setattr(implicit, "simplify_curve", no_simplify)
+    monkeypatch.setattr(solver, "simplify_curve", no_simplify)
     got = implicit_approx_cover(P, 1.0, cfg, simplification=simp)
     assert got.centers == expected.centers
     assert got.iterations == expected.iterations
+
+
+def test_weight_growth_check_guards_implicit_solves(monkeypatch):
+    # a feasible weight reported as 0 lets heavy sets be doubled, which
+    # breaks the bound on the growth of the total weight
+    monkeypatch.setattr(implicit.EdgeArrangement, "feasible_weight", lambda self, t, delta=None: 0.0)
+    P = curve_from_points([(0, 0), (20, 0), (20, 20)])
+    with pytest.raises(RuntimeError, match="weight growth bound violated"):
+        implicit_approx_cover(P, 1.0, SolverConfig(rng_seed=1, k_prime_override=2))
+
+
+def test_proper_iterations_total_the_updates_of_every_k_phase(monkeypatch):
+    # A reported count of 4 grid candidates makes i_max 10 at k = 2 and 1 at
+    # k = 4, so the k = 2 phase spends its updates and a larger k covers.
+    rebuilds = []
+    rebuilt_with = implicit.EdgeArrangement.rebuilt_with
+
+    def counted(self, t):
+        rebuilds.append(t)
+        return rebuilt_with(self, t)
+
+    monkeypatch.setattr(implicit.EdgeArrangement, "rebuilt_with", counted)
+    monkeypatch.setattr(implicit.EdgeArrangement, "candidate_count", lambda self: 4)
+    P = curve_from_points([(0, 0), (30, 0), (15, 26), (0, 0)])
+    res = implicit_approx_cover(P, 1.0, SolverConfig(rng_seed=3, k_prime_override=3))
+    assert res.k_found >= 4
+    assert res.proper_iterations == len(rebuilds) > 0

@@ -20,6 +20,7 @@ from subcover.coverage import (
     structured_coverage,
 )
 from subcover.geometry import Interval, PolyCurve, Segment, curve_from_points
+from subcover.implicit import implicit_approx_cover
 from subcover.oracle import OracleBudget, covers_unit as oracle_covers, full_coverage, min_cover_exhaustive
 from subcover.simplify import simplify_curve
 from subcover.solver import (
@@ -27,6 +28,7 @@ from subcover.solver import (
     ExplicitDist,
     GreedyCore,
     SolverConfig,
+    SolverFailure,
     approx_cover,
     greedy_max_coverage,
     k_approx_cover,
@@ -153,7 +155,7 @@ def test_k_approx_cover_weights_double_until_sampled():
     # starts vanishingly small and doubles each proper iteration until drawn
     S = curve_from_points([(0, 0), (10, 0)])
     B = [Candidate(1, 0.0, 0.1), Candidate(1, 0.05, 0.12), Candidate(1, 0.0, 1.0)]
-    d = ExplicitDist(B, np.array([1e6, 1e6, 1.0]))
+    d = ExplicitDist.on(S, B, 0.1, np.array([1e6, 1e6, 1.0]))
     rng = np.random.default_rng(5)
     res = k_approx_cover(S, d, r=4.0, delta_p=0.1, k_prime=1, i_max=400, rng=rng)
     assert res is not None
@@ -174,7 +176,7 @@ def test_weight_growth_check_survives_python_O():
         solver.weight_update = lambda d, F: real(real(d, range(len(d.candidates))), F)
         S = curve_from_points([(0, 0), (10, 0)])
         B = [Candidate(1, 0.0, 0.1), Candidate(1, 0.05, 0.12), Candidate(1, 0.0, 1.0)]
-        d = solver.ExplicitDist(B, np.array([1e6, 1e6, 1.0]))
+        d = solver.ExplicitDist.on(S, B, 0.1, np.array([1e6, 1e6, 1.0]))
         rng = np.random.default_rng(5)
         try:
             solver.k_approx_cover(S, d, r=4.0, delta_p=0.1, k_prime=1, i_max=400, rng=rng)
@@ -192,6 +194,16 @@ def test_weight_growth_check_survives_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert "raised: weight growth bound violated" in proc.stdout
+
+
+@pytest.mark.parametrize("solve", [approx_cover, implicit_approx_cover])
+def test_size_cap_failure_has_the_same_diagnostics_for_both_weightings(solve):
+    P = curve_from_points([(0, 0), (10, 0)])
+    with pytest.raises(SolverFailure) as failure:
+        solve(P, 1.0, SolverConfig(max_k=1))
+    diagnostics = failure.value.diagnostics
+    assert set(diagnostics) == {"max_k", "candidates", "rounds", "proper_iterations"}
+    assert (diagnostics["max_k"], diagnostics["rounds"], diagnostics["proper_iterations"]) == (1, 0, 0)
 
 
 def test_approx_cover_single_segment():
