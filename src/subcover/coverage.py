@@ -31,7 +31,9 @@ from .geometry import (
     RadInterval,
     Segment,
     ball_intervals,
+    ball_segment_dots,
     ball_segment_radical,
+    ball_segment_radical_from_dots,
     filtered_nonneg,
     filtered_sweep,
     capsule_segment_radical,
@@ -355,11 +357,15 @@ def feasible_rectangles(S: PolyCurve, t: EdgePoint, edge: int, delta: float) -> 
 # predicates over ``geometry.ball_intervals`` (``geometry.filtered_nonneg``
 # and ``geometry.filtered_sweep`` hold the tolerance policy).  A window is
 # dead when one of its decisions fails decisively, and unsure when it is not
-# dead and some decision is undecided.  Unsure windows are decided by the
-# scalar path on one exact ``FreeSpaceRow`` per candidate, so the result is
-# the scalar one.  Ties are common, not rare: candidate endpoints are
-# extremal points of the same radius, so their balls often touch a cell at a
-# single point.
+# dead and some decision is undecided.  Ties are common, not rare: candidate
+# endpoints are extremal points of the same radius, so their balls often
+# touch a cell at a single point.  Unsure windows run the scalar window
+# tests (``_coverage_interval_on_row``, ``_window_contains``) on ``_DotRow``s:
+# the exact bottoms, tops and verticals of the candidates they read, from one
+# batched table of dot products per call, each made a radical interval by
+# ``ball_segment_radical_from_dots`` when a window first reads it.  That is
+# what a ``FreeSpaceRow`` computes, bit for bit, so the result is the scalar
+# one.
 #
 # The window table.  One kernel call gives the bottoms and tops of every
 # (edge, candidate) cell, with the starts and then the ends as centres, and
@@ -374,17 +380,50 @@ def feasible_rectangles(S: PolyCurve, t: EdgePoint, edge: int, delta: float) -> 
 # maximum per owner, bitwise what ``merge_intervals`` gives each candidate.
 
 
-class FreeSpaceRows(dict):
-    """Exact free-space rows of candidate segments, built on first use."""
+class _DotRow:
+    """A candidate's exact free-space row, read as the scalar window tests
+    read a ``FreeSpaceRow``, with each interval from the candidate's column of
+    a batched dot table (``_dot_rows``)."""
 
-    def __init__(self, S: PolyCurve, starts: np.ndarray, ends: np.ndarray, delta: float):
-        super().__init__()
-        self.args = (S, starts, ends, delta)
+    __slots__ = ("curve", "delta", "dots", "first", "ne", "ivs")
 
-    def __missing__(self, k: int) -> FreeSpaceRow:
-        S, starts, ends, delta = self.args
-        row = self[k] = FreeSpaceRow(S, 1, S.n, Segment(starts[k], ends[k]), delta)
-        return row
+    def __init__(self, curve: PolyCurve, delta: float, dots: tuple, first: int, ne: int):
+        self.curve, self.delta, self.dots, self.first, self.ne = curve, delta, dots, first, ne
+        self.ivs = {}
+
+    def _interval(self, k: int) -> RadInterval:
+        iv = self.ivs.get(k)
+        if iv is None:
+            aa, vw, ww = self.dots
+            iv = self.ivs[k] = ball_segment_radical_from_dots(aa[k], vw[k], ww[k], self.delta)
+        return iv
+
+    def bottom(self, cell: int) -> RadInterval:
+        return self._interval(cell - self.first)
+
+    def top(self, cell: int) -> RadInterval:
+        return self._interval(self.ne + cell - self.first)
+
+    def vertical(self, vertex: int) -> RadInterval:
+        return self._interval(2 * self.ne + vertex - self.first - 1)
+
+
+def _dot_rows(S: PolyCurve, first: int, V: np.ndarray, starts, ends, delta: float, ks) -> dict:
+    """``_DotRow`` of each candidate in ks on the cells of the vertices V, a
+    run of S's vertices whose first edge is ``first``: the dot products of
+    every bottom, top and inner vertical, in one ``ball_segment_dots`` call."""
+    ks = sorted(set(ks.tolist()))
+    if not ks:
+        return {}
+    ne = V.shape[0] - 1
+    s, t = starts[ks], ends[ks]
+    p, q, r = np.empty((3, 2 * ne + V.shape[0] - 2, len(ks), V.shape[1]))
+    p[:ne] = p[ne : 2 * ne] = V[:-1, None]
+    q[:ne] = q[ne : 2 * ne] = V[1:, None]
+    r[:ne], r[ne : 2 * ne] = s, t
+    p[2 * ne :], q[2 * ne :], r[2 * ne :] = s, t, V[1:-1, None]
+    aa, vw, ww = (x.T.tolist() for x in ball_segment_dots(p, q, r))
+    return {k: _DotRow(S, delta, (aa[c], vw[c], ww[c]), first, ne) for c, k in enumerate(ks)}
 
 
 def _cell_balls(V: np.ndarray, starts: np.ndarray, ends: np.ndarray, delta: float):
@@ -451,8 +490,9 @@ def _coverage_block(S: PolyCurve, starts: np.ndarray, ends: np.ndarray, delta: f
     holds[0] &= m_holds
     L, i, k = np.nonzero(holds)
     owner, lo, hi = [k], [lo_glob[i, k]], [hi_glob[i + L, k]]
-    rows = FreeSpaceRows(S, starts, ends, delta)
-    for L, i, k in np.argwhere(unsure).tolist():  # the scalar path
+    unsure = np.argwhere(unsure)
+    rows = _dot_rows(S, 1, S.vertices, starts, ends, delta, unsure[:, 2])
+    for L, i, k in unsure.tolist():  # the scalar path
         iv = _coverage_interval_on_row(rows[k], i + 1, i + L + 1)
         owner.append([k])
         lo.append([iv.lo])
@@ -461,13 +501,9 @@ def _coverage_block(S: PolyCurve, starts: np.ndarray, ends: np.ndarray, delta: f
 
 
 def batch_feasible_mask(
-    S: PolyCurve, t: EdgePoint, starts: np.ndarray, ends: np.ndarray, delta: float, rows=None
+    S: PolyCurve, t: EdgePoint, starts: np.ndarray, ends: np.ndarray, delta: float
 ) -> np.ndarray:
-    """``is_feasible`` evaluated for many candidate segments at once.
-
-    ``rows``, ``FreeSpaceRows`` of the candidates, serve the scalar path;
-    calls on the same candidates share them by passing the same ``rows``.
-    """
+    """``is_feasible`` evaluated for many candidate segments at once."""
     # window_set's windows start on edges lo..ip and end on edges ip..hi-1
     ip = t.edge_index
     lo, hi = max(ip - MAX_WINDOW_EDGES + 1, 1), min(ip + MAX_WINDOW_EDGES, S.n)
@@ -485,11 +521,11 @@ def batch_feasible_mask(
     holds, unsure = _window_table(*(a[:, k] for a in (b_holds, b_unsure, t_holds, t_unsure)), vert)
     feas = np.zeros(starts.shape[0], dtype=bool)
     feas[k] = holds.any(axis=(0, 1))
-    if rows is None:
-        rows = FreeSpaceRows(S, starts, ends, delta)
     # the scalar path, in window_set's order; window (L, i) runs from edge
     # lo + i to edge lo + i + L
-    for i, L, c in sorted((i, L, k[c]) for L, i, c in np.argwhere(unsure).tolist()):
+    unsure = np.argwhere(unsure)
+    rows = _dot_rows(S, lo, V, starts, ends, delta, k[unsure[:, 2]])
+    for i, L, c in sorted((i, L, k[c]) for L, i, c in unsure.tolist()):
         if not feas[c]:
             feas[c] = _window_contains(rows[c], lo + i, lo + i + L + 1, t)
     return feas

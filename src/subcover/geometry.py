@@ -36,13 +36,6 @@ class Interval:
     def is_empty(self) -> bool:
         return self.lo > self.hi
 
-    def intersect(self, other: "Interval") -> "Interval":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            return Interval.empty()
-        return Interval(lo, hi)
-
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
 
@@ -538,15 +531,16 @@ def segment_pairs_dist_sq(p1: np.ndarray, q1: np.ndarray, p2: np.ndarray, q2: np
         below, above = t < 0.0, t > 1.0
         s = np.where(below, clamp(-c / a), np.where(above, clamp((bdot - c) / a), s))
         t = np.where(below, 0.0, np.where(above, 1.0, t))
-        both = (p1 + s[..., None] * d1) - (p2 + t[..., None] * d2)
-        # a degenerate first segment is the point p1 against the second
-        u = clamp(rowdot(r, d2) / e)[..., None]
-        point1 = p1 - (p2 + u * d2)
-        # a degenerate second segment is the point p2 against the first
-        u = clamp(rowdot(p2 - p1, d1) / a)[..., None]
-        point2 = p2 - (p1 + u * d1)
-    flat1, flat2 = (a == 0.0)[..., None], (e == 0.0)[..., None]
-    diff = np.where(flat1, np.where(flat2, r, point1), np.where(flat2, point2, both))
+        diff = (p1 + s[..., None] * d1) - (p2 + t[..., None] * d2)
+        if not (a.all() and e.all()):
+            # a degenerate first segment is the point p1 against the second
+            u = clamp(rowdot(r, d2) / e)[..., None]
+            point1 = p1 - (p2 + u * d2)
+            # a degenerate second segment is the point p2 against the first
+            u = clamp(rowdot(p2 - p1, d1) / a)[..., None]
+            point2 = p2 - (p1 + u * d1)
+            flat1, flat2 = (a == 0.0)[..., None], (e == 0.0)[..., None]
+            diff = np.where(flat1, np.where(flat2, r, point1), np.where(flat2, point2, diff))
     return rowdot(diff, diff)
 
 
@@ -565,7 +559,8 @@ def segment_pairs_dist_sq(p1: np.ndarray, q1: np.ndarray, p2: np.ndarray, q2: np
 # ``err`` as undecided, and swept by ``filtered_sweep``; an undecided or
 # tight entry sends the whole decision to the radical path, so a filtered
 # result always equals the exact one (Shewchuk's filtered predicates, 1997).
-# These three functions are the only place the tolerance policy lives.
+# These three functions and ``radicals_apart``, which orders two radicals
+# by their float values, are the only places the tolerance policy lives.
 #
 # The bound.  With segment p->q, centre r, v = q-p, w = p-r, both paths
 # compute v and w identically; they differ in how the dot products are
@@ -581,6 +576,19 @@ def segment_pairs_dist_sq(p1: np.ndarray, q1: np.ndarray, p2: np.ndarray, q2: np
 # room to spare, and is still far below any margin a generic input has.
 
 BALL_TOL = 128.0 * math.sqrt(float(np.finfo(float).eps))
+
+
+def radicals_apart(x, x_size, y, y_size):
+    """Whether radical values x and y are far enough apart that ``Radical.le``
+    orders them as their floats do; arrays broadcast.
+
+    x and y are the float values a + sign*sqrt(b), and the sizes
+    |a| + sqrt(b), of the two radicals.  The radical comparison errs only
+    within about sqrt(3u) times the sizes (section comment), and
+    BALL_TOL*(1 + sizes) is far above that.
+    """
+    return np.abs(x - y) > BALL_TOL * (1.0 + x_size + y_size)
+
 
 # Entries per broadcast ``ball_intervals`` call that its batching callers
 # aim for; bounds the memory of the kernel's temporaries.

@@ -48,7 +48,6 @@ import numpy as np
 from .candidates import Candidate, candidate_segments, candidate_set
 from .coverage import (
     Coverage,
-    FreeSpaceRows,
     batch_candidate_coverage,
     batch_feasible_mask,
     covers_unit,
@@ -84,7 +83,8 @@ class SolverConfig:
 
 
 class SolverFailure(RuntimeError):
-    """Raised when the doubling search exceeds the size cap."""
+    """Raised when the doubling search exceeds the size cap, or with k'
+    forced, when a k-phase ends without a weight update."""
 
     def __init__(self, message: str, diagnostics: dict):
         super().__init__(message)
@@ -116,14 +116,14 @@ class ExplicitDist:
 
     Weights are kept normalized; log2_scale records the factor divided out
     so the true total weight remains available for the growth invariant.
-    ``rows``, the candidates' exact free-space rows at the working radius,
-    carry what a feasibility query needs: the curve, the candidate segments
-    and the radius.  Only ``feasible_weight`` and ``rebuilt_with`` read them.
+    ``query`` carries what a feasibility query needs: the curve, the
+    candidates' start and end points and the working radius.  Only
+    ``feasible_weight`` and ``rebuilt_with`` read it.
     """
 
     candidates: List[Candidate]
     weights: np.ndarray
-    rows: Optional[FreeSpaceRows] = None
+    query: Optional[tuple] = None
     total: float = field(init=False)
     log2_scale: float = 0.0
 
@@ -146,7 +146,7 @@ class ExplicitDist:
         """Weights over candidates on S, uniform by default, queried at radius delta."""
         starts, ends = candidate_segments(S, candidates)
         w = np.ones(len(candidates)) if weights is None else weights
-        return ExplicitDist(list(candidates), w, FreeSpaceRows(S, starts, ends, delta))
+        return ExplicitDist(list(candidates), w, (S, starts, ends, delta))
 
     def log2_total(self) -> float:
         return math.log2(self.total) + self.log2_scale
@@ -167,8 +167,8 @@ class ExplicitDist:
         ``feasible_weight`` at the same witness computes no second mask.
         """
         if self._feasible[0] != t:
-            S, starts, ends, delta = self.rows.args
-            mask = batch_feasible_mask(S, t, starts, ends, delta, self.rows)
+            S, starts, ends, delta = self.query
+            mask = batch_feasible_mask(S, t, starts, ends, delta)
             self._feasible = (t, np.flatnonzero(mask))
         return self._feasible[1]
 
@@ -190,7 +190,7 @@ def weight_update(dist: ExplicitDist, F: Sequence[int]) -> ExplicitDist:
     if peak > 2.0**500:  # renormalize well before float overflow
         w /= peak
         scale += math.log2(peak)
-    return ExplicitDist(dist.candidates, w, dist.rows, log2_scale=scale)
+    return ExplicitDist(dist.candidates, w, dist.query, log2_scale=scale)
 
 
 def sample(dist: ExplicitDist, count: int, rng: np.random.Generator) -> List[Candidate]:
@@ -329,29 +329,34 @@ def doubling_search(
     Every k starts again from ``weighting``, which weighs n_candidates
     candidates.  The random stream, the coverage cache and the round and
     update counts carry across all k.
+
+    With k' forced, a phase that spends all its rounds without a cover or
+    a weight update ends the search: every later phase starts from the same
+    weights and draws from the same law, and its light threshold 1/2k is
+    stricter, so it can only fail the same way.
     """
     gamma = cfg.resolve_gamma(S.dim)
     rng = np.random.default_rng(cfg.rng_seed)
     cache = _CoverageCache(S, delta_p)
     stats = _LoopStats()
+
+    def failure(message: str) -> SolverFailure:
+        return SolverFailure(message, {
+            "max_k": cfg.max_k, "candidates": n_candidates, "rounds": stats.rounds,
+            "proper_iterations": stats.proper,
+        })
+
     k = 1
     while True:
         k *= 2
         if k > cfg.max_k:
-            raise SolverFailure(
-                "target size cap exceeded",
-                {
-                    "max_k": cfg.max_k,
-                    "candidates": n_candidates,
-                    "rounds": stats.rounds,
-                    "proper_iterations": stats.proper,
-                },
-            )
+            raise failure("target size cap exceeded")
         if cfg.k_prime_override is not None:
             k_prime = cfg.k_prime_override
         else:
             k_prime = math.ceil(16 * k * gamma * math.log(16 * k * gamma))
         i_max = max(math.ceil(5 * k * math.log2(n_candidates / k)) if n_candidates > k else 0, 1)
+        updates = stats.proper
         result = k_approx_cover(
             S,
             weighting,
@@ -367,6 +372,8 @@ def doubling_search(
         if result is not None:
             result.k_found = k
             return result
+        if cfg.k_prime_override is not None and stats.proper == updates:
+            raise failure("no weight update at the forced k'")
 
 
 def search_curve(P: PolyCurve, delta: float, simplification: Optional[Simplification]) -> PolyCurve:

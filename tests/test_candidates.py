@@ -152,6 +152,9 @@ def test_close_pair_table_equals_scalar_distances():
         S = PolyCurve(pts)
         delta = float(rng.uniform(0.02, 0.6))
         _assert_tables_match_scalar(S, delta)
+    # zero-length edges: a point against a segment, and a point against a point
+    S = PolyCurve(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 2.0], [3.0, 2.0], [3.0, 2.0]]))
+    _assert_tables_match_scalar(S, 0.2)
 
 
 def test_close_pair_table_equals_scalar_distances_in_high_dimension():

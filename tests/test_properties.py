@@ -1,8 +1,11 @@
 """Property tests: the filtered float paths against the radical-exact contract,
 the per-curve candidate tables against one extremal_points call per
 subcurve, and the array paths against the scalar code they replace, bit for
-bit: batched dot products, the predicates' float steps, the candidate dedup,
-the coverage fill and ``oracle.full_coverage``.
+bit: batched dot products, the predicates' float steps, the candidate
+tables entry by entry and the radical forms of each subcurve's (s, t), the
+candidate dedup, the coverage fill and ``oracle.full_coverage``.  On
+snapped scenes the scalar fallbacks behind the candidate tables and the fill
+are counted, so that they are seen to run.
 
 Curves come in dimensions 2, 3 and 5, with coincident non-adjacent vertices
 and grid-snapped coordinates; delta ranges over 1e-6..1e3 and the geometry
@@ -16,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import subcover.candidates as candidates_module
 from subcover.candidates import (
     Candidate,
     _CurveTables,
@@ -23,11 +27,11 @@ from subcover.candidates import (
     _sorted_distinct,
     candidate_segments,
     candidate_set,
+    generating_subcurves,
 )
 import subcover.coverage as coverage_module
 from subcover.coverage import (
     MAX_WINDOW_EDGES,
-    FreeSpaceRows,
     batch_candidate_coverage,
     batch_feasible_mask,
     candidate_coverage_intervals,
@@ -61,7 +65,7 @@ from subcover.geometry import (
 )
 import subcover.oracle as oracle_module
 from subcover.oracle import full_coverage
-from subcover.radicals import ONE, Radical
+from subcover.radicals import ONE, Radical, rad_max, rad_min
 import subcover.simplify as simplify_module
 from subcover.simplify import ShortcutBlocks, _decide_between, shortcut_holds, simplify_curve
 from test_candidates import reference_close_pairs, reference_close_subcurves
@@ -76,11 +80,11 @@ PROPERTY = settings(
 
 
 @st.composite
-def scenes(draw, max_n=7, max_points=0):
+def scenes(draw, max_n=7, max_points=0, snapped=st.booleans()):
     """(curve, delta, extra points) with every coordinate a multiple of delta."""
     d = draw(st.sampled_from([2, 3, 5]))
     n = draw(st.integers(2, max_n))
-    snapped = draw(st.booleans())
+    snapped = draw(snapped)
     if snapped:
         delta = 2.0 ** draw(st.integers(-20, 10))
         unit = st.integers(-8, 8).map(lambda k: 0.5 * k)
@@ -255,11 +259,7 @@ def test_batch_feasible_mask_equals_scalar(scene, on_edges, factor, edge, local,
         cov = batch_candidate_coverage(S, starts, ends, radius)
         t = point_not_covered_from_intervals(S, cov.take(np.arange(edge % 3, len(cov), 3)))
         assume(t is not None)
-    # exact rows shared with an earlier query, as a sampling loop shares them
-    rows = FreeSpaceRows(S, starts, ends, radius)
-    batch_feasible_mask(S, EdgePoint(1, 0.5), starts, ends, radius, rows)
-    mask = batch_feasible_mask(S, t, starts, ends, radius, rows)
-    assert mask.tolist() == batch_feasible_mask(S, t, starts, ends, radius).tolist()
+    mask = batch_feasible_mask(S, t, starts, ends, radius)
     for k in range(len(starts)):
         assert mask[k] == is_feasible(Segment(starts[k], ends[k]), S, t, radius), k
 
@@ -350,8 +350,8 @@ def reference_candidate_set(S: PolyCurve, delta: float) -> list:
     for e in range(1, S.num_edges + 1):
         s_vals, t_vals = [], []
         for y in close[e]:
-            sub = PolyCurve(S.vertices[y.start_vertex - 1 : y.end_vertex])
-            ep = extremal_points(sub, S.edge(e), radius)
+            Y = PolyCurve(S.vertices[y.start_vertex - 1 : y.end_vertex])
+            ep = extremal_points(Y, S.edge(e), radius)
             if ep is not None:
                 s_vals.append(ep.s_rad)
                 t_vals.append(ep.t_rad)
@@ -405,6 +405,15 @@ def test_candidate_tables_equal_per_subcurve_extremal_points_on_lapped_routes(ro
     assert _bits(candidate_set(S, delta)) == _bits(reference_candidate_set(S, delta))
 
 
+def test_candidate_set_with_close_subcurves_whose_capsules_round_to_empty():
+    # Edge 2 is exactly 8*delta from edges 6 and 7, so subcurves made of them
+    # are close, but every capsule of their cells about edge 2 rounds to
+    # empty: they have no free cell and no extremal points.
+    V = [[8, 4], [-24, 32], [-24, -20], [-20, -20], [-12, -32], [4, -12], [-8, 20], [12, 8]]
+    S = PolyCurve(np.array(V, dtype=float))
+    assert _bits(candidate_set(S, 2.0)) == _bits(reference_candidate_set(S, 2.0))
+
+
 @PROPERTY
 @given(lapped_routes())
 def test_coverage_fill_equals_reference_loop_on_lapped_routes(route):
@@ -453,14 +462,153 @@ def test_predicates_from_table_dots_equal_scalar_predicates(scene, factor):
             got = capsule_segment_radical_from_dots([float(x[e, c]) for x in caps], radius)
             want = capsule_segment_radical(S.edge(e + 1), S.edge(c + 1), radius)
             assert _rad_key(got) == _rad_key(want), (e, c)
-    # the gathered tables candidate_set reads, at its own radius
+    # the gathered tables candidate_set reads, entry by entry
     tables = _CurveTables(S, radius)
-    for (a, c) in tables._caps:
+    for k, (a, c) in enumerate(zip(*tables.cap_pairs)):
         want = capsule_segment_radical(S.edge(a + 1), S.edge(c + 1), radius)
-        assert _rad_key(tables.capsule(a, c)) == _rad_key(want)
-    for (e, v) in tables._balls:
+        assert _table_key(tables.caps, k) == _rad_key(want), (a, c)
+    for k, (e, v) in enumerate(zip(*tables.vert_pairs)):
         want = ball_segment_radical(E0[e], E1[e], S.vertices[v], radius)
-        assert _rad_key(tables.vertical(e, v)) == _rad_key(want)
+        assert _table_key(tables.verts, k) == _rad_key(want), (e, v)
+    # the slices of the live pairs: at the lowest point of the first free
+    # cell, then at the highest of the last
+    n = tables.edge.size
+    for k in np.flatnonzero(np.tile(tables.live, 2)):
+        e, c = tables.edge[k % n], tables.slice_cells[k]
+        cap = capsule_segment_radical(S.edge(e + 1), S.edge(c + 1), radius)
+        point = S.edge(c + 1).at((cap.lo if k < n else cap.hi).value())
+        assert np.array_equal(tables.slice_points[k], point)
+        want = ball_segment_radical(E0[e], E1[e], point, radius)
+        assert _table_key(tables.slices, k) == _rad_key(want), k
+
+
+def _table_key(table, k):
+    """``_rad_key`` of entry k of a ``candidates.RadIntervals`` table."""
+    if not table.ok[k]:
+        return None
+    return tuple((float(f[0, k]), float(f[1, k]), int(f[2, k])) for f in (table.lo, table.hi))
+
+
+def _form_bits(r) -> tuple:
+    """The (a, b, sign) form of a radical, bit for bit."""
+    a, b, sign = r
+    return float(a).hex(), float(b).hex(), int(sign)
+
+
+def _assert_extremal_forms_equal_extremal_points(S: PolyCurve, delta: float):
+    radius = 8.0 * delta
+    subcurves = generating_subcurves(S)
+    edge, sub, s, t = _CurveTables(S, radius).extremal_forms()
+    got = {
+        (e, k): (_form_bits(s[:, i]), _form_bits(t[:, i]))
+        for i, (e, k) in enumerate(zip(edge.tolist(), sub.tolist()))
+    }
+    want = {}
+    close = reference_close_subcurves(S, reference_close_pairs(S, radius))
+    for e in range(1, S.num_edges + 1):
+        for y in close[e]:
+            Y = PolyCurve(S.vertices[y.start_vertex - 1 : y.end_vertex])
+            ep = extremal_points(Y, S.edge(e), radius)
+            if ep is not None:
+                forms = [(r.a, r.b, r.sign) for r in (ep.s_rad, ep.t_rad)]
+                want[e - 1, subcurves.index(y)] = tuple(map(_form_bits, forms))
+    assert got == want
+
+
+@PROPERTY
+@given(scenes(max_n=9))
+def test_extremal_forms_equal_extremal_points(scene):
+    # dedup reads the forms of s and t, not only their values
+    P, delta, _ = scene
+    _assert_extremal_forms_equal_extremal_points(PolyCurve(4.0 * P.vertices), delta)
+
+
+@PROPERTY
+@given(lapped_routes())
+def test_extremal_forms_equal_extremal_points_on_lapped_routes(route):
+    _assert_extremal_forms_equal_extremal_points(*route)
+
+
+def _counting(calls: list, name: str, fn):
+    def counted(*args):
+        calls.append(name)
+        return fn(*args)
+
+    return counted
+
+
+def test_candidate_fallbacks_run_on_lattice_scenes_and_equal_the_reference():
+    # the scalar code behind the array tables: degenerate capsules and balls,
+    # undecided folds, and edges whose dedup the filter cannot settle
+    calls = []
+    fallbacks = ("capsule_segment_radical_from_dots", "ball_segment_radical_from_dots",
+                 "rad_min", "rad_max", "_dedup_radicals")
+
+    @PROPERTY
+    @given(scenes(max_n=9, snapped=st.just(True)))
+    def check(scene):
+        P, delta, _ = scene
+        S = PolyCurve(4.0 * P.vertices)
+        with pytest.MonkeyPatch.context() as mp:
+            for name in fallbacks:
+                counted = _counting(calls, name, getattr(candidates_module, name))
+                mp.setattr(candidates_module, name, counted)
+            got = candidate_set(S, delta)
+        assert _bits(got) == _bits(reference_candidate_set(S, delta))
+
+    check()
+    assert "capsule_segment_radical_from_dots" in calls, sorted(set(calls))
+
+
+def test_fill_fallback_runs_on_lattice_scenes_and_equals_the_reference():
+    calls = []
+
+    @PROPERTY
+    @given(scenes(max_n=9, snapped=st.just(True)))
+    def check(scene):
+        P, delta, _ = scene
+        S = PolyCurve(4.0 * P.vertices)
+        starts, ends = candidate_segments(S, candidate_set(S, delta))
+        with pytest.MonkeyPatch.context() as mp:
+            name = "ball_segment_radical_from_dots"
+            counted = _counting(calls, name, getattr(coverage_module, name))
+            mp.setattr(coverage_module, name, counted)
+            _assert_fill_equals_reference(S, starts, ends, 8.0 * delta, None)
+
+    check()
+    assert calls
+
+
+_SCALES = [1.0, 1e-9, 1e-85, 1e-170]  # below about 1e-81 squares underflow
+
+
+def _near(rng, n: int, scale: np.ndarray):
+    """a and b of radicals about 0 or 0.5, a spread by the given scales and
+    sqrt(b) by scales drawn apart."""
+    a = rng.choice([0.0, 0.5], n) + rng.choice([-1.0, 0.0, 1.0], n) * rng.random(n) * scale
+    return a, (rng.random(n) * rng.choice(_SCALES, n)) ** 2
+
+
+def test_array_radical_branches_equal_the_scalar_ones():
+    # the branches of Radical.le that candidate_set's tables take: lower ends
+    # a - sqrt(b) or exact, upper ends of sign +1, exact clipping bounds
+    rng = np.random.default_rng(8)
+    n = 20000
+    scale = rng.choice(_SCALES, n)
+    (a, b), sign = _near(rng, n, scale), rng.choice([-1.0, 1.0], n)
+    lo = np.stack([a, np.where(sign < 0, b, 0.0), sign])
+    hi = np.stack([*_near(rng, n, scale), np.ones(n)])
+    r0, r1 = lo[0] + rng.normal(size=n) * scale, hi[0] + rng.normal(size=n) * scale
+    le = candidates_module._le_pos(lo, hi)
+    exact = candidates_module._exact
+    clo, chi = candidates_module._clip(lo, hi, exact(r0), exact(r1))
+    for k in range(n):
+        x, y = Radical(*lo[:, k]), Radical(*hi[:, k])
+        assert le[k] == x.le(y), k
+        want_lo = rad_max(x, Radical.exact(r0[k]))
+        want_hi = rad_min(y, Radical.exact(r1[k]))
+        assert tuple(clo[:, k]) == (want_lo.a, want_lo.b, want_lo.sign), k
+        assert tuple(chi[:, k]) == (want_hi.a, want_hi.b, want_hi.sign), k
 
 
 def reference_full_coverage(P: PolyCurve, C, delta: float):

@@ -206,6 +206,18 @@ def test_size_cap_failure_has_the_same_diagnostics_for_both_weightings(solve):
     assert (diagnostics["max_k"], diagnostics["rounds"], diagnostics["proper_iterations"]) == (1, 0, 0)
 
 
+def test_forced_k_prime_ends_the_search_at_the_first_phase_without_an_update():
+    # Two centres are needed and k' = 1: every witness's feasible set is
+    # heavy, so the k = 2 phase spends its 1,000 rounds without an update.
+    # With k' fixed, the phases at k = 4 and 8 would only repeat that.
+    P = curve_from_points([(0, 0), (20, 0), (20, 20)])
+    with pytest.raises(SolverFailure, match="no weight update") as failure:
+        approx_cover(P, 1.0, SolverConfig(rng_seed=1, k_prime_override=1, max_k=8))
+    assert failure.value.diagnostics == {
+        "max_k": 8, "candidates": 4, "rounds": 1000, "proper_iterations": 0,
+    }
+
+
 def test_approx_cover_single_segment():
     P = curve_from_points([(0, 0), (10, 0)])
     res = approx_cover(P, 1.0, SolverConfig(rng_seed=7))
