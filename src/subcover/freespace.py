@@ -92,31 +92,6 @@ class FreeSpaceRow:
             self._verts[vertex] = iv
         return iv
 
-    # public float views matching the four-interval-per-cell description
-    def cell_boundaries(self, cell: int) -> dict:
-        return {
-            "bottom": self.bottom(cell).to_interval(),
-            "top": self.top(cell).to_interval(),
-            "left": self.vertical(cell).to_interval(),
-            "right": self.vertical(cell + 1).to_interval(),
-        }
-
-    def cells(self) -> range:
-        return range(self.lo_vertex, self.hi_vertex)
-
-
-def free_space_row(
-    P: PolyCurve, lo_vertex: int, hi_vertex: int, seg: Segment, delta: float
-) -> FreeSpaceRow:
-    """Materialize all boundary intervals for the cells in the vertex range."""
-    row = FreeSpaceRow(P, lo_vertex, hi_vertex, seg, delta)
-    for c in row.cells():
-        row.bottom(c)
-        row.top(c)
-    for v in range(lo_vertex, hi_vertex + 1):
-        row.vertical(v)
-    return row
-
 
 def _dist_sq(p: np.ndarray, q: np.ndarray) -> float:
     d = p - q

@@ -5,7 +5,9 @@ grid; a candidate is a (start, end) pair of grid values.  Weight doubling
 happens on whole rectangles of the candidate square, so the distribution is
 stored as an arrangement of cells with a doubling count per cell.  All
 weights are integers (powers of two times point counts), which keeps the
-distribution exact no matter how many updates occur.
+distribution exact no matter how many updates occur.  An update computes
+the witness's rectangles once and refines only the cells of the edges they
+touch; it replays none of the updates before it.
 
 ``EdgeArrangement`` is a weighting of ``solver.doubling_search``, the same
 search that runs the explicit weights: it draws candidate numbers, maps a
@@ -19,10 +21,12 @@ of the input.
 
 from __future__ import annotations
 
+import copy
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -32,10 +36,9 @@ from .geometry import EdgePoint, PolyCurve
 from .simplify import Simplification
 from .solver import CoverResult, SolverConfig, doubling_search, search_curve
 
-UpdateLog = List[EdgePoint]
-
-# Below this total weight a draw is one int64 uniform, and every grid
-# candidate number fits in an int64 too (each candidate weighs at least 1).
+# Below this total weight a draw is one int64 uniform, every grid candidate
+# number fits in an int64 too (each candidate weighs at least 1), and so does
+# the total after an update, which at most doubles it.
 _INT64_TOTAL = 2**62
 
 
@@ -122,27 +125,19 @@ def _rects_to_index(grid: EdgeGrid, rects) -> List[IndexRect]:
     return out
 
 
-def _disjoint_pieces(rects: Sequence[IndexRect]) -> List[IndexRect]:
-    """Decompose a union of index rectangles into disjoint rectangles."""
-    if not rects:
-        return []
-    xs = sorted({r[0] for r in rects} | {r[1] + 1 for r in rects})
-    out: List[IndexRect] = []
-    for xa, xb in zip(xs[:-1], xs[1:]):
-        spans = sorted(
-            (r[2], r[3]) for r in rects if r[0] <= xa and xb - 1 <= r[1]
-        )
-        if not spans:
-            continue
-        cur_lo, cur_hi = spans[0]
-        for lo, hi in spans[1:]:
-            if lo <= cur_hi + 1:
-                cur_hi = max(cur_hi, hi)
-            else:
-                out.append((xa, xb - 1, cur_lo, cur_hi))
-                cur_lo, cur_hi = lo, hi
-        out.append((xa, xb - 1, cur_lo, cur_hi))
-    return out
+class EdgeCells(NamedTuple):
+    """One edge's candidate square cut into cells.
+
+    Cell (i, j) holds the grid candidates with start index in
+    [xcuts[i], xcuts[i+1]) and end index in [ycuts[j], ycuts[j+1]), and each
+    of them weighs 2**exponent[i, j].  cum holds the cumulative weights of the
+    cells in row-major order.
+    """
+
+    xcuts: np.ndarray
+    ycuts: np.ndarray
+    exponent: np.ndarray
+    cum: np.ndarray
 
 
 class EdgeArrangement:
@@ -150,152 +145,127 @@ class EdgeArrangement:
 
     Per edge, update rectangles cut the candidate square into cells; a cell
     stores how many updates contain it (the doubling exponent) and how many
-    grid candidates it holds.  Cell weights and cumulative sums are exact
-    integers.
+    grid candidates it holds.  The cumulative cell weights are exact: int64
+    arrays while the total weight is below ``_INT64_TOTAL``, object arrays of
+    Python integers from there on.
 
     Grid candidates are numbered edge by edge, then by start index, then by
     end index; a draw is such a number, and ``candidate_at`` turns it into a
     ``Candidate``.
     """
 
-    def __init__(self, S: PolyCurve, delta: float, update_log: UpdateLog, feas_delta: float):
+    def __init__(self, S: PolyCurve, delta: float, feas_delta: float):
         self.S = S
         self.delta = delta  # grid spacing parameter
         self.feas_delta = feas_delta  # radius used for feasibility rectangles
-        self.update_log = list(update_log)
         self.grids = [
             EdgeGrid.for_edge_length(S.edge(e).length(), delta) for e in range(1, S.num_edges + 1)
         ]
-        self._build()
+        sizes = [g.size for g in self.grids]
+        self._key_base = list(accumulate((n * n for n in sizes[:-1]), initial=0))
+        whole = [np.array([0, n], dtype=np.int64) for n in sizes]
+        self._take(
+            [
+                EdgeCells(c, c, np.zeros((1, 1), dtype=np.int64), np.array([n * n], dtype=object))
+                for c, n in zip(whole, sizes)
+            ],
+            sum(n * n for n in sizes),
+        )
 
-    # -- construction --
-
-    def _build(self):
-        ne = self.S.num_edges
-        per_edge_updates: List[List[List[IndexRect]]] = [[] for _ in range(ne)]
-        for t in self.update_log:
-            for e in range(1, ne + 1):
-                rs = feasible_rectangles(self.S, t, e, self.feas_delta)
-                per_edge_updates[e - 1].append(_rects_to_index(self.grids[e - 1], rs.rects))
-        self.xcuts: List[np.ndarray] = []
-        self.ycuts: List[np.ndarray] = []
-        self.scount: List[np.ndarray] = []
-        # flat cumulative weight over (edge, xi, yi) in order
-        self._cum: List[int] = []
-        total = 0
-        for e in range(ne):
-            grid = self.grids[e]
-            xs = {0, grid.size}
-            ys = {0, grid.size}
-            for rects in per_edge_updates[e]:
-                for (xa, xb, ya, yb) in rects:
-                    xs.update((xa, xb + 1))
-                    ys.update((ya, yb + 1))
-            xc = np.array(sorted(xs), dtype=np.int64)
-            yc = np.array(sorted(ys), dtype=np.int64)
-            nx, ny = len(xc) - 1, len(yc) - 1
-            s = np.zeros((nx, ny), dtype=np.int64)
-            for rects in per_edge_updates[e]:
-                if not rects:
-                    continue
-                hit = np.zeros((nx, ny), dtype=bool)
-                for (xa, xb, ya, yb) in rects:
-                    xi0 = int(np.searchsorted(xc, xa))
-                    xi1 = int(np.searchsorted(xc, xb + 1))
-                    yi0 = int(np.searchsorted(yc, ya))
-                    yi1 = int(np.searchsorted(yc, yb + 1))
-                    hit[xi0:xi1, yi0:yi1] = True
-                s += hit
-            gx = np.diff(xc)
-            gy = np.diff(yc)
-            counts = np.outer(gx, gy)
-            for xi in range(nx):
-                for yi in range(ny):
-                    total += int(counts[xi, yi]) << int(s[xi, yi])
-                    self._cum.append(total)
-            self.xcuts.append(xc)
-            self.ycuts.append(yc)
-            self.scount.append(s)
+    def _take(self, cells: List[EdgeCells], total: int) -> None:
+        """Hold these cells, which weigh total."""
+        dtype = object if total >= _INT64_TOTAL else np.int64
+        self.cells = [c._replace(cum=c.cum.astype(dtype, copy=False)) for c in cells]
         self.total_weight = total
-        self._cell_index: List[Tuple[int, int, int]] = []
-        self._key_base: List[int] = []  # number of the first candidate of each edge
-        # per cell: number of its first candidate, grid size of its edge,
-        # end-index span and doubling exponent
-        first, row, span, shift = [], [], [], []
-        base = 0
-        for e in range(ne):
-            xc, yc, sc = self.xcuts[e].tolist(), self.ycuts[e].tolist(), self.scount[e].tolist()
-            n = self.grids[e].size
-            self._key_base.append(base)
-            for xi in range(len(xc) - 1):
-                for yi in range(len(yc) - 1):
-                    self._cell_index.append((e, xi, yi))
-                    first.append(base + xc[xi] * n + yc[yi])
-                    row.append(n)
-                    span.append(yc[yi + 1] - yc[yi])
-                    shift.append(sc[xi][yi])
-            base += n * n
-        self._cell_arrays = None
-        if total < _INT64_TOTAL:
-            cum = np.array(self._cum, dtype=np.int64)
-            self._cell_arrays = (cum, np.concatenate([[0], cum[:-1]])) + tuple(
-                np.array(a, dtype=np.int64) for a in (first, row, span, shift)
-            )
+        self._edge_cum = np.cumsum(np.array([c.cum[-1] for c in self.cells], dtype=dtype))
+        self._last = (None, None, 0)  # the last witness and its doubling step
 
     def candidate_count(self) -> int:
         return sum(g.size * g.size for g in self.grids)
 
-    # -- queries --
+    # -- the weight update --
+
+    def _doubling(self, t: EdgePoint) -> Tuple[EdgePoint, List[EdgeCells], int]:
+        """The cells with every candidate able to cover t doubled, and the weight that adds.
+
+        Per edge, the cells are cut along t's feasible rectangles and the cells
+        inside one get one more doubling.  Doubling a set adds exactly its
+        weight, so the added weight is t's feasible weight.  The last witness's
+        step is kept, so ``rebuilt_with`` after ``feasible_weight`` at the same
+        witness computes no rectangle twice.
+        """
+        if self._last[0] != t:
+            doubled, added = [], 0
+            for e, (grid, c) in enumerate(zip(self.grids, self.cells), start=1):
+                rects = _rects_to_index(grid, feasible_rectangles(self.S, t, e, self.feas_delta).rects)
+                if not rects:
+                    doubled.append(c)
+                    continue
+                xa, xb, ya, yb = np.array(rects, dtype=np.int64).T
+                xc = np.union1d(c.xcuts, np.concatenate([xa, xb + 1]))
+                yc = np.union1d(c.ycuts, np.concatenate([ya, yb + 1]))
+                # a new cell keeps the exponent of the old cell it lies in
+                s = c.exponent[
+                    np.ix_(
+                        np.searchsorted(c.xcuts, xc[:-1], side="right") - 1,
+                        np.searchsorted(c.ycuts, yc[:-1], side="right") - 1,
+                    )
+                ]
+                hit = np.zeros(s.shape, dtype=bool)
+                for x0, x1, y0, y1 in zip(
+                    np.searchsorted(xc, xa), np.searchsorted(xc, xb + 1),
+                    np.searchsorted(yc, ya), np.searchsorted(yc, yb + 1),
+                ):
+                    hit[x0:x1, y0:y1] = True
+                dtype = c.cum.dtype
+                w = np.outer(np.diff(xc).astype(dtype), np.diff(yc).astype(dtype)) << s.astype(dtype)
+                added += int(w[hit].sum())
+                doubled.append(EdgeCells(xc, yc, s + hit, np.cumsum(np.where(hit, 2 * w, w).ravel())))
+            self._last = (t, doubled, added)
+        return self._last
+
+    def feasible_weight(self, t: EdgePoint) -> float:
+        """Probability mass of the candidates able to cover t."""
+        return self._doubling(t)[2] / self.total_weight
 
     def rebuilt_with(self, t: EdgePoint) -> "EdgeArrangement":
-        return EdgeArrangement(self.S, self.delta, self.update_log + [t], self.feas_delta)
+        _, doubled, added = self._doubling(t)
+        new = copy.copy(self)
+        new._take(doubled, self.total_weight + added)
+        return new
 
-    def candidate_probability(self, edge: int, xj: int, yj: int) -> float:
-        """Probability of one grid candidate (edge 1-based, grid indices)."""
-        e = edge - 1
-        xc, yc = self.xcuts[e], self.ycuts[e]
-        xi = int(np.searchsorted(xc, xj, side="right")) - 1
-        yi = int(np.searchsorted(yc, yj, side="right")) - 1
-        w = 1 << int(self.scount[e][xi, yi])
-        return w / self.total_weight
+    # -- sampling --
 
     def sample_candidates(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """count exact draws, as candidate numbers.
 
-        An integer uniform on [0, total) picks a cell by the cumulative sums,
-        and index arithmetic inside the cell picks the candidate.  Below
-        ``_INT64_TOTAL`` this runs on int64 arrays; above it, one Python
-        integer per draw, returned as an object array.
+        An integer uniform on [0, total) picks an edge by the cumulative edge
+        weights and a cell by the edge's cumulative cell weights, and index
+        arithmetic inside the cell picks the candidate.  Below
+        ``_INT64_TOTAL`` the integers are one int64 draw; above it, one Python
+        integer per draw in an object array, and the same arithmetic follows.
         """
-        total = self.total_weight
-        if self._cell_arrays is not None:
-            cum, start, first, row, span, shift = self._cell_arrays
-            xs = rng.integers(0, total, size=count, dtype=np.int64)
-            cells = np.searchsorted(cum, xs, side="right")
-            j = (xs - start[cells]) >> shift[cells]  # a candidate owns 2^shift integers
-            return first[cells] + (j // span[cells]) * row[cells] + j % span[cells]
-        out = np.empty(count, dtype=object)
-        for k in range(count):
-            x = _bigint_uniform(rng, total)
-            ci = bisect_right(self._cum, x)
-            prev = 0 if ci == 0 else self._cum[ci - 1]
-            out[k] = self._key_in_cell(ci, x - prev)
+        if self._edge_cum.dtype == object:
+            xs = np.array([_bigint_uniform(rng, self.total_weight) for _ in range(count)], dtype=object)
+        else:
+            xs = rng.integers(0, self.total_weight, size=count, dtype=np.int64)
+        edges = np.searchsorted(self._edge_cum, xs, side="right")
+        out = np.empty_like(xs)
+        for e in np.unique(edges).tolist():
+            at = edges == e
+            c, n = self.cells[e], self.grids[e].size
+            x = xs[at] - (self._edge_cum[e] - c.cum[-1])
+            cell = np.searchsorted(c.cum, x, side="right")
+            xi, yi = np.divmod(cell, len(c.ycuts) - 1)
+            below = np.where(cell > 0, c.cum[cell - 1], 0)  # the integers of the cells before
+            j = (x - below) >> c.exponent[xi, yi]  # a candidate owns 2^exponent integers
+            span = c.ycuts[yi + 1] - c.ycuts[yi]
+            out[at] = self._key_base[e] + (c.xcuts[xi] + j // span) * n + c.ycuts[yi] + j % span
         return out
 
     def distinct_draws(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Increasing numbers of the candidates hit by count draws."""
         return np.unique(self.sample_candidates(count, rng))
-
-    def _key_in_cell(self, ci: int, offset: int) -> int:
-        """Number of the candidate at the given offset into cell ci's weight."""
-        e, xi, yi = self._cell_index[ci]
-        s = int(self.scount[e][xi, yi])
-        j = offset >> s  # each candidate owns 2^s consecutive integers
-        ya, yb = int(self.ycuts[e][yi]), int(self.ycuts[e][yi + 1])
-        span = yb - ya
-        xj = int(self.xcuts[e][xi]) + j // span
-        yj = ya + j % span
-        return self._key_base[e] + xj * self.grids[e].size + yj
 
     def candidate_at(self, key: int) -> Candidate:
         """The grid candidate with the given number."""
@@ -307,38 +277,6 @@ class EdgeArrangement:
 
     def log2_total(self) -> float:
         return math.log2(self.total_weight)
-
-    def feasible_weight(self, t: EdgePoint, delta: Optional[float] = None) -> float:
-        """Probability mass of the candidates able to cover t."""
-        w = self.feasible_weight_int(t, delta)
-        return w / self.total_weight
-
-    def feasible_weight_int(self, t: EdgePoint, delta: Optional[float] = None) -> int:
-        radius = self.feas_delta if delta is None else delta
-        total = 0
-        for e in range(1, self.S.num_edges + 1):
-            grid = self.grids[e - 1]
-            rs = feasible_rectangles(self.S, t, e, radius)
-            pieces = _disjoint_pieces(_rects_to_index(grid, rs.rects))
-            if not pieces:
-                continue
-            xc, yc = self.xcuts[e - 1], self.ycuts[e - 1]
-            s = self.scount[e - 1]
-            for (xa, xb, ya, yb) in pieces:
-                xi0 = int(np.searchsorted(xc, xa, side="right")) - 1
-                xi1 = int(np.searchsorted(xc, xb, side="right")) - 1
-                yi0 = int(np.searchsorted(yc, ya, side="right")) - 1
-                yi1 = int(np.searchsorted(yc, yb, side="right")) - 1
-                for xi in range(xi0, xi1 + 1):
-                    ox = min(int(xc[xi + 1]), xb + 1) - max(int(xc[xi]), xa)
-                    if ox <= 0:
-                        continue
-                    for yi in range(yi0, yi1 + 1):
-                        oy = min(int(yc[yi + 1]), yb + 1) - max(int(yc[yi]), ya)
-                        if oy <= 0:
-                            continue
-                        total += (ox * oy) << int(s[xi, yi])
-        return total
 
 
 def _bigint_uniform(rng: np.random.Generator, total: int) -> int:
@@ -352,17 +290,6 @@ def _bigint_uniform(rng: np.random.Generator, total: int) -> int:
             return x
 
 
-def build_structure(
-    S: PolyCurve, delta: float, update_log: UpdateLog, feas_delta: Optional[float] = None
-) -> EdgeArrangement:
-    """Arrangement distribution for a grid at spacing delta.
-
-    feas_delta is the radius at which update rectangles are computed; it
-    defaults to delta (the cover search passes its working radius).
-    """
-    return EdgeArrangement(S, delta, update_log, delta if feas_delta is None else feas_delta)
-
-
 def implicit_approx_cover(
     P: PolyCurve,
     delta: float,
@@ -373,11 +300,11 @@ def implicit_approx_cover(
     """Cover search over the implicit grid distribution; 12*delta on the input.
 
     Works at radius 9*delta on the simplification, with a grid at spacing
-    delta; the arrangement is rebuilt from its update log after every weight
-    doubling.  A precomputed simplification of P at delta may be passed to
-    skip simplifying again.
+    delta; every weight doubling refines the arrangement along the witness's
+    feasible rectangles.  A precomputed simplification of P at delta may be
+    passed to skip simplifying again.
     """
     S = search_curve(P, delta, simplification)
     delta_p = 9.0 * delta
-    base = build_structure(S, delta, [], feas_delta=delta_p)
+    base = EdgeArrangement(S, delta, delta_p)
     return doubling_search(S, base, base.candidate_count(), delta_p, cfg)

@@ -193,14 +193,6 @@ def weight_update(dist: ExplicitDist, F: Sequence[int]) -> ExplicitDist:
     return ExplicitDist(dist.candidates, w, dist.query, log2_scale=scale)
 
 
-def sample(dist: ExplicitDist, count: int, rng: np.random.Generator) -> List[Candidate]:
-    """count independent draws, listed in candidate order."""
-    if count < 1:
-        raise ValueError("count must be positive")
-    counts = sample_indices(dist, count, rng)
-    return [dist.candidates[i] for i in np.repeat(np.arange(counts.size), counts)]
-
-
 def sample_indices(dist: ExplicitDist, count: int, rng: np.random.Generator) -> np.ndarray:
     """How often each candidate is hit by count independent draws from dist.
 

@@ -6,7 +6,7 @@ from subcover.freespace import (
     coverage_interval,
     decide_frechet_subcurve_segment,
     extremal_points,
-    free_space_row,
+    FreeSpaceRow,
     psi_ij_contains,
 )
 from subcover.geometry import EdgePoint, PolyCurve, Segment, curve_from_points
@@ -19,24 +19,23 @@ def whole(P):
 
 def test_free_space_row_all_free():
     P = curve_from_points([(0, 0), (1, 0)])
-    row = free_space_row(P, 1, 2, Segment((0, 1), (1, 1)), 2)
-    b = row.cell_boundaries(1)
-    for k in ("bottom", "top", "left", "right"):
-        assert b[k].lo == pytest.approx(0) and b[k].hi == pytest.approx(1)
+    row = FreeSpaceRow(P, 1, 2, Segment((0, 1), (1, 1)), 2)
+    for iv in (row.bottom(1), row.top(1), row.vertical(1), row.vertical(2)):
+        b = iv.to_interval()
+        assert b.lo == pytest.approx(0) and b.hi == pytest.approx(1)
 
 
 def test_free_space_row_all_empty():
     P = curve_from_points([(0, 0), (1, 0)])
-    row = free_space_row(P, 1, 2, Segment((0, 5), (1, 5)), 1)
-    b = row.cell_boundaries(1)
-    for k in ("bottom", "top", "left", "right"):
-        assert b[k].is_empty()
+    row = FreeSpaceRow(P, 1, 2, Segment((0, 5), (1, 5)), 1)
+    for iv in (row.bottom(1), row.top(1), row.vertical(1), row.vertical(2)):
+        assert iv.to_interval().is_empty()
 
 
 def test_free_space_row_degenerate_segment():
     P = curve_from_points([(0, 0), (10, 0)])
-    row = free_space_row(P, 1, 2, Segment((5, 3), (5, 3)), 5)
-    b = row.cell_boundaries(1)["bottom"]
+    row = FreeSpaceRow(P, 1, 2, Segment((5, 3), (5, 3)), 5)
+    b = row.bottom(1).to_interval()
     assert b.lo == pytest.approx(0.1) and b.hi == pytest.approx(0.9)
 
 

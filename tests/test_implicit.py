@@ -1,4 +1,6 @@
 from bisect import bisect_right
+from functools import reduce
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -6,20 +8,26 @@ import pytest
 import subcover.implicit as implicit
 import subcover.solver as solver
 from subcover.candidates import Candidate
-from subcover.coverage import covers_unit, feasible_rectangles
+from subcover.coverage import feasible_rectangles
 from subcover.geometry import EdgePoint, PolyCurve, curve_from_points
-from subcover.implicit import EdgeGrid, build_structure, implicit_approx_cover
+from subcover.implicit import EdgeArrangement, EdgeGrid, implicit_approx_cover
 from subcover.oracle import covers_unit as oracle_covers, full_coverage
 from subcover.solver import SolverConfig
 from subcover.simplify import simplify_curve
 
 
-def explicit_weights(arr):
+def arrangement(S, delta, log, feas_delta=None):
+    """The arrangement at grid spacing delta after the updates of log, in order."""
+    base = EdgeArrangement(S, delta, delta if feas_delta is None else feas_delta)
+    return reduce(EdgeArrangement.rebuilt_with, log, base)
+
+
+def explicit_weights(arr, log):
     """Reference: per-candidate doubling counts from the continuous rectangles."""
     S = arr.S
     out = {}
     rect_sets = []
-    for t in arr.update_log:
+    for t in log:
         rect_sets.append(
             {e: feasible_rectangles(S, t, e, arr.feas_delta).rects for e in range(1, S.num_edges + 1)}
         )
@@ -34,6 +42,14 @@ def explicit_weights(arr):
                         s += 1
                 out[(e, xi, yi)] = 1 << s
     return out
+
+
+def candidate_probability(arr, edge, xj, yj):
+    """Probability of one grid candidate, read off its cell's exponent."""
+    c = arr.cells[edge - 1]
+    xi = int(np.searchsorted(c.xcuts, xj, side="right")) - 1
+    yi = int(np.searchsorted(c.ycuts, yj, side="right")) - 1
+    return (1 << int(c.exponent[xi, yi])) / arr.total_weight
 
 
 def small_curve():
@@ -66,17 +82,17 @@ def test_grid_index_range_matches_pointwise():
 
 def test_empty_log_uniform():
     S = small_curve()
-    arr = build_structure(S, 0.5, [])
+    arr = arrangement(S, 0.5, [])
     assert arr.total_weight == sum(g.size**2 for g in arr.grids)
-    for e in range(len(arr.grids)):
-        assert np.all(arr.scount[e] == 0)
+    for c in arr.cells:
+        assert np.all(c.exponent == 0)
 
 
 def test_one_update_doubles_rectangle():
     S = small_curve()
     t = EdgePoint(1, 0.5)
-    arr = build_structure(S, 0.5, [t], feas_delta=1.0)
-    ref = explicit_weights(arr)
+    arr = arrangement(S, 0.5, [t], feas_delta=1.0)
+    ref = explicit_weights(arr, [t])
     assert arr.total_weight == sum(ref.values())
     assert any(w == 2 for w in ref.values())
 
@@ -91,12 +107,12 @@ def test_weights_equal_explicit_on_random_logs():
             S.locate(float(rng.uniform(0, 1)))
             for _ in range(int(rng.integers(1, 5)))
         ]
-        arr = build_structure(S, delta, log, feas_delta=2.0 * delta)
-        ref = explicit_weights(arr)
+        arr = arrangement(S, delta, log, feas_delta=2.0 * delta)
+        ref = explicit_weights(arr, log)
         assert arr.total_weight == sum(ref.values())
         # per-candidate probabilities agree exactly
         for (e, xi, yi), w in ref.items():
-            assert arr.candidate_probability(e, xi, yi) == w / arr.total_weight
+            assert candidate_probability(arr, e, xi, yi) == w / arr.total_weight
 
 
 def test_feasible_weight_matches_explicit():
@@ -106,8 +122,8 @@ def test_feasible_weight_matches_explicit():
         S = PolyCurve(np.cumsum(rng.normal(size=(n, 2)) * 2, axis=0))
         delta = float(rng.uniform(0.4, 1.2))
         log = [S.locate(float(rng.uniform(0, 1))) for _ in range(int(rng.integers(0, 4)))]
-        arr = build_structure(S, delta, log, feas_delta=2.0 * delta)
-        ref = explicit_weights(arr)
+        arr = arrangement(S, delta, log, feas_delta=2.0 * delta)
+        ref = explicit_weights(arr, log)
         t = S.locate(float(rng.uniform(0, 1)))
         # explicit feasible weight: sum of weights over rect-feasible candidates
         want = 0
@@ -118,32 +134,80 @@ def test_feasible_weight_matches_explicit():
                 for yi, b in enumerate(vals):
                     if any(r[0] <= a <= r[1] and r[2] <= b <= r[3] for r in rects):
                         want += ref[(e, xi, yi)]
-        got = arr.feasible_weight_int(t, 2.0 * delta)
-        assert got == want
+        assert arr.feasible_weight(t) == want / arr.total_weight
+        # the update adds exactly the feasible weight
+        assert arr.rebuilt_with(t).total_weight == arr.total_weight + want
 
 
 def test_feasible_weight_bounds():
     S = small_curve()
-    arr = build_structure(S, 0.5, [], feas_delta=100.0)
     t = EdgePoint(1, 0.5)
-    assert arr.feasible_weight(t, 100.0) == pytest.approx(1.0)
-    assert arr.feasible_weight(t, 1e-12) < 1.0
-    far = build_structure(S, 0.5, [], feas_delta=1e-9)
-    assert far.feasible_weight(EdgePoint(2, 0.9), 1e-9) > 0.0  # self cover survives
+    assert arrangement(S, 0.5, [], feas_delta=100.0).feasible_weight(t) == pytest.approx(1.0)
+    assert arrangement(S, 0.5, [], feas_delta=1e-12).feasible_weight(t) < 1.0
+    far = arrangement(S, 0.5, [], feas_delta=1e-9)
+    assert far.feasible_weight(EdgePoint(2, 0.9)) > 0.0  # self cover survives
 
 
 def test_rebuild_deterministic():
     S = small_curve()
     log = [EdgePoint(1, 0.3), EdgePoint(2, 0.7)]
-    a1 = build_structure(S, 0.5, log, feas_delta=1.0)
-    a2 = build_structure(S, 0.5, log, feas_delta=1.0)
+    a1 = arrangement(S, 0.5, log, feas_delta=1.0)
+    a2 = arrangement(S, 0.5, log, feas_delta=1.0)
     assert a1.total_weight == a2.total_weight
-    assert a1._cum == a2._cum
+    assert all(np.array_equal(c1.cum, c2.cum) for c1, c2 in zip(a1.cells, a2.cells))
+
+
+def test_update_cost_does_not_grow_with_the_log(monkeypatch):
+    # an update computes the witness's rectangles once per edge, shared by
+    # feasible_weight and rebuilt_with, whatever updates came before it
+    calls = []
+    rectangles = implicit.feasible_rectangles
+
+    def counted(*args):
+        calls.append(args)
+        return rectangles(*args)
+
+    monkeypatch.setattr(implicit, "feasible_rectangles", counted)
+    S = curve_from_points([(0, 0), (3, 0), (3, 2), (0.5, 1.5)])
+    arr = arrangement(S, 0.35, [], feas_delta=1.2)
+    for t in (EdgePoint(1, 0.3), EdgePoint(2, 0.7), EdgePoint(3, 0.0),
+              EdgePoint(1, 0.3), EdgePoint(2, 1.0), EdgePoint(3, 0.5)):
+        calls.clear()
+        arr.feasible_weight(t)
+        arr = arr.rebuilt_with(t)
+        assert len(calls) == S.num_edges
+
+
+@pytest.mark.parametrize("delta", [2.5e-10, 1e-10])
+def test_huge_grids_weigh_exactly(delta):
+    # a unit edge at these spacings has more than 2**63 grid candidates
+    S = curve_from_points([(0, 0), (1, 0)])
+    arr = EdgeArrangement(S, delta, 9.0 * delta)
+    assert arr.total_weight == arr.grids[0].size ** 2
+    keys = arr.sample_candidates(50, np.random.default_rng(11))
+    assert keys.dtype == object
+    assert all(arr.candidate_at(k).edge_index == 1 for k in keys)
+
+
+def test_an_update_across_the_int64_threshold_stays_exact():
+    # the unit edge's 2e9 + 1 grid points weigh just below 2**62, and the
+    # update about doubles that: the step runs in int64, its result is held
+    # as Python integers
+    S = curve_from_points([(0, 0), (1, 0)])
+    arr = EdgeArrangement(S, 5e-10, 4.5e-9)
+    assert arr.cells[0].cum.dtype == np.int64
+    new = arr.rebuilt_with(EdgePoint(1, 0.5))
+    assert arr.total_weight < implicit._INT64_TOTAL <= new.total_weight
+    assert all(c.cum.dtype == object for c in new.cells)
+    assert cumulative_weights(new) == reference_cells(new)[1]
+    keys = new.sample_candidates(50, np.random.default_rng(12))
+    assert keys.dtype == object
+    assert all(new.candidate_at(k).edge_index == 1 for k in keys)
 
 
 def test_sampler_uniform_tv_distance():
     S = curve_from_points([(0, 0), (2, 0)])
-    arr = build_structure(S, 0.5, [])  # 5x5 grid on one edge
+    arr = arrangement(S, 0.5, [])  # 5x5 grid on one edge
     size = arr.grids[0].size
     assert size == 5
     rng = np.random.default_rng(43)
@@ -160,7 +224,7 @@ def test_sampler_uniform_tv_distance():
 def test_sampler_respects_doubling():
     S = curve_from_points([(0, 0), (2, 0)])
     t = EdgePoint(1, 0.5)
-    arr = build_structure(S, 2.0, [t], feas_delta=5.0)  # grid {0,1}^2, all feasible
+    arr = arrangement(S, 2.0, [t], feas_delta=5.0)  # grid {0,1}^2, all feasible
     # every candidate doubled once: uniform again
     rng = np.random.default_rng(44)
     draws = [arr.candidate_at(key) for key in arr.sample_candidates(20_000, rng)]
@@ -168,59 +232,72 @@ def test_sampler_respects_doubling():
     assert len(keys) == 4
 
 
-def reference_candidate_in_cell(arr, ci, offset):
-    """Reference for the sampler: one draw's offset into cell ci turned
-    into a Candidate by index arithmetic."""
-    e, xi, yi = arr._cell_index[ci]
-    j = offset >> int(arr.scount[e][xi, yi])
-    ya, yb = int(arr.ycuts[e][yi]), int(arr.ycuts[e][yi + 1])
-    xj = int(arr.xcuts[e][xi]) + j // (yb - ya)
+def reference_cells(arr):
+    """Every cell as (edge, xi, yi) in candidate order, with the cumulative
+    weights, from the per-edge cuts and exponents alone."""
+    index, weights = [], []
+    for e, c in enumerate(arr.cells):
+        for xi in range(len(c.xcuts) - 1):
+            for yi in range(len(c.ycuts) - 1):
+                count = int(c.xcuts[xi + 1] - c.xcuts[xi]) * int(c.ycuts[yi + 1] - c.ycuts[yi])
+                index.append((e, xi, yi))
+                weights.append(count << int(c.exponent[xi, yi]))
+    return index, list(accumulate(weights))
+
+
+def cumulative_weights(arr):
+    """The cumulative cell weights over all edges, from each edge's own."""
+    out, below = [], 0
+    for c in arr.cells:
+        out += [below + int(v) for v in c.cum]
+        below = out[-1]
+    return out
+
+
+def reference_candidate(arr, x):
+    """Reference for the sampler: the integer x of [0, total) turned into a
+    Candidate by a bisection on the cells and index arithmetic."""
+    index, cum = reference_cells(arr)
+    ci = bisect_right(cum, x)
+    e, xi, yi = index[ci]
+    c = arr.cells[e]
+    j = (x - (cum[ci - 1] if ci else 0)) >> int(c.exponent[xi, yi])
+    ya, yb = int(c.ycuts[yi]), int(c.ycuts[yi + 1])
+    xj = int(c.xcuts[xi]) + j // (yb - ya)
     yj = ya + j % (yb - ya)
     grid = arr.grids[e]
     return Candidate(e + 1, grid.value(xj), grid.value(yj))
 
 
-def reference_draws(arr, count, seed):
-    """Per-draw candidates from the same integer stream as the sampler."""
-    xs = np.random.default_rng(seed).integers(0, arr.total_weight, size=count, dtype=np.int64)
-    out = []
-    for x in xs.tolist():
-        ci = bisect_right(arr._cum, x)
-        out.append(reference_candidate_in_cell(arr, ci, x - (arr._cum[ci - 1] if ci else 0)))
-    return out
-
-
 def test_sampled_numbers_are_the_per_draw_candidates():
     S = curve_from_points([(0, 0), (3, 0), (3, 2), (0.5, 1.5)])
-    log = []
+    arr = arrangement(S, 0.35, [], feas_delta=1.2)
     for t in (EdgePoint(1, 0.3), EdgePoint(2, 0.7), EdgePoint(3, 0.0), EdgePoint(1, 0.3)):
-        arr = build_structure(S, 0.35, log, feas_delta=1.2)
+        assert cumulative_weights(arr) == reference_cells(arr)[1]
         for seed in (7, 8):
             keys = arr.sample_candidates(3000, np.random.default_rng(seed))
             assert keys.dtype == np.int64
-            assert [arr.candidate_at(k) for k in keys] == reference_draws(arr, 3000, seed)
-        log.append(t)  # the next arrangement has one more update
+            xs = np.random.default_rng(seed).integers(0, arr.total_weight, size=3000, dtype=np.int64)
+            assert [arr.candidate_at(k) for k in keys] == [reference_candidate(arr, x) for x in xs.tolist()]
+        arr = arr.rebuilt_with(t)  # the next arrangement has one more update
 
 
 def test_bigint_draws_follow_the_per_draw_arithmetic(monkeypatch):
     # past the int64 threshold each draw is one Python integer
     S = curve_from_points([(0, 0), (3, 0), (3, 2)])
     monkeypatch.setattr(implicit, "_INT64_TOTAL", 1)
-    arr = build_structure(S, 0.5, [EdgePoint(1, 0.5), EdgePoint(2, 0.25)], feas_delta=1.0)
+    arr = arrangement(S, 0.5, [EdgePoint(1, 0.5), EdgePoint(2, 0.25)], feas_delta=1.0)
+    assert all(c.cum.dtype == object for c in arr.cells)
     keys = arr.sample_candidates(500, np.random.default_rng(9))
     assert keys.dtype == object
     rng = np.random.default_rng(9)
-    want = []
-    for _ in range(500):
-        x = implicit._bigint_uniform(rng, arr.total_weight)
-        ci = bisect_right(arr._cum, x)
-        want.append(reference_candidate_in_cell(arr, ci, x - (arr._cum[ci - 1] if ci else 0)))
+    want = [reference_candidate(arr, implicit._bigint_uniform(rng, arr.total_weight)) for _ in range(500)]
     assert [arr.candidate_at(k) for k in keys] == want
 
 
 def test_sample_single_candidate_grid():
     S = curve_from_points([(0, 0), (0.5, 0)])
-    arr = build_structure(S, 10.0, [])
+    arr = arrangement(S, 10.0, [])
     rng = np.random.default_rng(45)
     # spacing > 1: grid {0, 1} -> 4 candidates; shrink to the degenerate check
     c = arr.candidate_at(arr.sample_candidates(1, rng)[0])
@@ -263,7 +340,7 @@ def test_implicit_cover_reuses_a_given_simplification(monkeypatch):
 def test_weight_growth_check_guards_implicit_solves(monkeypatch):
     # a feasible weight reported as 0 lets heavy sets be doubled, which
     # breaks the bound on the growth of the total weight
-    monkeypatch.setattr(implicit.EdgeArrangement, "feasible_weight", lambda self, t, delta=None: 0.0)
+    monkeypatch.setattr(implicit.EdgeArrangement, "feasible_weight", lambda self, t: 0.0)
     P = curve_from_points([(0, 0), (20, 0), (20, 20)])
     with pytest.raises(RuntimeError, match="weight growth bound violated"):
         implicit_approx_cover(P, 1.0, SolverConfig(rng_seed=1, k_prime_override=2))
