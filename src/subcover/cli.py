@@ -165,6 +165,8 @@ def run(config: RunConfig) -> dict:
                 "proper_updates": result.proper_iterations,
                 "coverage_filled": result.coverage_filled,
                 "coverage_cache_hits": result.coverage_cache_hits,
+                "feasible_mass": result.feasible_mass,
+                "feasibility": result.feasibility,
                 "centers": [[seg.start.tolist(), seg.end.tolist()] for seg in centers],
                 "coverage": [[iv.lo, iv.hi] for iv in coverage],
                 "verdict": verdict,

@@ -68,13 +68,16 @@ class Coverage:
 
     Candidate k owns the sorted, disjoint intervals with ends
     ``lo[offsets[k]:offsets[k+1]]`` and ``hi[offsets[k]:offsets[k+1]]``;
-    ``coverage[k]`` lists them as ``Interval`` objects.
+    ``coverage[k]`` lists them as ``Interval`` objects.  A fill asked for
+    them (``batch_candidate_coverage``) also keeps ``windows``: the window
+    intervals before the merge, as flat arrays (owner, lo, hi, tol), which
+    a ``WindowTable`` stabs.
     """
 
-    __slots__ = ("offsets", "lo", "hi")
+    __slots__ = ("offsets", "lo", "hi", "windows")
 
-    def __init__(self, offsets: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-        self.offsets, self.lo, self.hi = offsets, lo, hi
+    def __init__(self, offsets: np.ndarray, lo: np.ndarray, hi: np.ndarray, windows=None):
+        self.offsets, self.lo, self.hi, self.windows = offsets, lo, hi, windows
 
     @staticmethod
     def of(per: Sequence[Sequence[Interval]]) -> "Coverage":
@@ -378,6 +381,19 @@ def feasible_rectangles(S: PolyCurve, t: EdgePoint, edge: int, delta: float) -> 
 # candidates in flat arrays, with offsets per candidate; ``merge_owned``
 # builds it from the windows' (owner, lo, hi) with one lexsort and a running
 # maximum per owner, bitwise what ``merge_intervals`` gives each candidate.
+#
+# Feasibility by stabbing.  A window that holds and contains t is one of
+# ``window_set(t)``, and its endpoint tests are ``_window_contains``'s, so Q
+# is feasible at t exactly when t lies in one of Q's window intervals.  A
+# fill keeps those intervals unmerged (``Coverage.windows``), each with a
+# band ``tol``: twice the kernel's ``err`` of its first bottom and its last
+# top, taken to global parameters through the edge widths, plus
+# ``_PARAM_ROUNDING`` for the affine maps and ``edge_point_param``.
+# ``WindowTable.feasible_mask`` calls a candidate feasible where t lies
+# inside one of its windows by more than the band, infeasible where t lies
+# outside every one of them by more than the band, and sends the rest, as a
+# subset, to ``batch_feasible_mask``.  The merged intervals are not stabbed:
+# a float merge can close an exact gap between two windows that touch at t.
 
 
 class _DotRow:
@@ -461,19 +477,33 @@ def _window_table(b_holds, b_unsure, t_holds, t_unsure, vert: BallIntervals):
 
 
 def batch_candidate_coverage(
-    S: PolyCurve, starts: np.ndarray, ends: np.ndarray, delta: float
+    S: PolyCurve, starts: np.ndarray, ends: np.ndarray, delta: float, windows: bool = False
 ) -> Coverage:
-    """``candidate_coverage_intervals`` for many candidate segments at once."""
+    """``candidate_coverage_intervals`` for many candidate segments at once,
+    with ``Coverage.windows`` when windows is set."""
     # entries of the stacked sweep (inner vertices x edges x candidates) per block
     step = max(BLOCK_ENTRIES // ((MAX_WINDOW_EDGES - 1) * max(S.num_edges, 1)), 1)
     blocks = [
-        _coverage_block(S, starts[k : k + step], ends[k : k + step], delta)
+        _coverage_block(S, starts[k : k + step], ends[k : k + step], delta, k if windows else None)
         for k in range(0, starts.shape[0], step)
     ]
-    return blocks[0] if len(blocks) == 1 else Coverage.of([]).extended(*blocks)
+    if len(blocks) == 1:
+        return blocks[0]
+    out = Coverage.of([]).extended(*blocks)
+    if windows:
+        out.windows = tuple(map(np.concatenate, zip(*(b.windows for b in blocks))))
+    return out
 
 
-def _coverage_block(S: PolyCurve, starts: np.ndarray, ends: np.ndarray, delta: float) -> Coverage:
+# rounding of a global parameter in [0, 1] through an affine map
+_PARAM_ROUNDING = 32.0 * float(np.finfo(float).eps)
+
+
+def _coverage_block(
+    S: PolyCurve, starts: np.ndarray, ends: np.ndarray, delta: float, first: Optional[int]
+) -> Coverage:
+    """The fill of one block, with its windows unless first is None; their
+    owners count from first."""
     params = S.vertex_params
     widths = np.diff(params)[:, None]
     bot, top = _cell_balls(S.vertices, starts, ends, delta)
@@ -488,16 +518,20 @@ def _coverage_block(S: PolyCurve, starts: np.ndarray, ends: np.ndarray, delta: f
     m_holds, m_unsure = filtered_nonneg(top.hi - bot.lo, bot.err + top.err)
     unsure[0] |= holds[0] & m_unsure
     holds[0] &= m_holds
-    L, i, k = np.nonzero(holds)
-    owner, lo, hi = [k], [lo_glob[i, k]], [hi_glob[i + L, k]]
-    unsure = np.argwhere(unsure)
+    held, unsure = np.argwhere(holds), np.argwhere(unsure)
     rows = _dot_rows(S, 1, S.vertices, starts, ends, delta, unsure[:, 2])
-    for L, i, k in unsure.tolist():  # the scalar path
-        iv = _coverage_interval_on_row(rows[k], i + 1, i + L + 1)
-        owner.append([k])
-        lo.append([iv.lo])
-        hi.append([iv.hi])
-    return merge_owned(*map(np.concatenate, (owner, lo, hi)), starts.shape[0])
+    # the scalar path
+    ivs = [_coverage_interval_on_row(rows[k], i + 1, i + L + 1) for L, i, k in unsure.tolist()]
+    L, i, k = np.concatenate([held, unsure]).T
+    n = held.shape[0]
+    lo = np.concatenate([lo_glob[i[:n], k[:n]], [iv.lo for iv in ivs]])
+    hi = np.concatenate([hi_glob[(i + L)[:n], k[:n]], [iv.hi for iv in ivs]])
+    out = merge_owned(k, lo, hi, starts.shape[0])
+    if first is not None:
+        tol = 2.0 * np.maximum(bot.err[i, k] * widths[i, 0], top.err[i + L, k] * widths[i + L, 0])
+        live = lo < np.inf  # the scalar path's empty windows are gone
+        out.windows = (k[live] + first, lo[live], hi[live], tol[live] + _PARAM_ROUNDING)
+    return out
 
 
 def batch_feasible_mask(
@@ -529,3 +563,44 @@ def batch_feasible_mask(
         if not feas[c]:
             feas[c] = _window_contains(rows[c], lo + i, lo + i + L + 1, t)
     return feas
+
+
+class WindowTable:
+    """Window intervals of many candidates, sorted for stabbing.
+
+    Built from ``Coverage.windows`` whose owners index the candidates' starts
+    and ends.  The windows are sorted by lo - tol, so the ones within their
+    band of x are a slice: no window reaches further than ``span`` above its
+    lo - tol.  Windows without a finite band (a degenerate edge) are kept
+    apart, as ``loose`` owners, undecided at every x.
+    """
+
+    def __init__(self, windows: tuple):
+        owner, lo, hi, tol = windows
+        reach = (hi + tol) - (lo - tol)
+        finite = np.isfinite(reach)
+        order = np.argsort((lo - tol)[finite], kind="stable")
+        self.owner, self.lo, self.hi, self.tol = (a[finite][order] for a in windows)
+        self.first = self.lo - self.tol
+        self.span = 1.001 * float(reach[finite].max(initial=0.0)) + _PARAM_ROUNDING
+        self.loose = np.unique(owner[~finite])
+
+    def feasible_mask(
+        self, S: PolyCurve, t: EdgePoint, starts: np.ndarray, ends: np.ndarray, delta: float
+    ) -> Tuple[np.ndarray, int]:
+        """``batch_feasible_mask`` read off the windows, and the number of
+        candidates it sent to the exact path (section comment)."""
+        x = S.edge_point_param(t)
+        a, b = np.searchsorted(self.first, [x - self.span, x], side="right")
+        owner, lo, hi, tol = (v[a:b] for v in (self.owner, self.lo, self.hi, self.tol))
+        inside = (lo + tol < x) & (x < hi - tol)
+        outside = (x < lo - tol) | (hi + tol < x)
+        feas = np.zeros(starts.shape[0], dtype=bool)
+        feas[owner[inside]] = True
+        band = np.zeros_like(feas)
+        band[owner[~(inside | outside)]] = True
+        band[self.loose] = True
+        sub = np.flatnonzero(band & ~feas)
+        if sub.size:
+            feas[sub] = batch_feasible_mask(S, t, starts[sub], ends[sub], delta)
+        return feas, sub.size

@@ -32,7 +32,7 @@ import numpy as np
 
 from .candidates import Candidate
 from .coverage import feasible_rectangles
-from .geometry import EdgePoint, PolyCurve
+from .geometry import EdgePoint, PolyCurve, ball_intervals
 from .simplify import Simplification
 from .solver import CoverResult, SolverConfig, doubling_search, search_curve
 
@@ -192,12 +192,16 @@ class EdgeArrangement:
         inside one get one more doubling.  Doubling a set adds exactly its
         weight, so the added weight is t's feasible weight.  The last witness's
         step is kept, so ``rebuilt_with`` after ``feasible_weight`` at the same
-        witness computes no rectangle twice.
+        witness computes no rectangle twice.  Only edges within reach of t
+        (``_in_reach``) can have rectangles.
         """
         if self._last[0] != t:
             doubled, added = [], 0
+            reach = self._in_reach(t)
             for e, (grid, c) in enumerate(zip(self.grids, self.cells), start=1):
-                rects = _rects_to_index(grid, feasible_rectangles(self.S, t, e, self.feas_delta).rects)
+                rects = []
+                if reach[e - 1]:
+                    rects = _rects_to_index(grid, feasible_rectangles(self.S, t, e, self.feas_delta).rects)
                 if not rects:
                     doubled.append(c)
                     continue
@@ -223,6 +227,13 @@ class EdgeArrangement:
                 doubled.append(EdgeCells(xc, yc, s + hit, np.cumsum(np.where(hit, 2 * w, w).ravel())))
             self._last = (t, doubled, added)
         return self._last
+
+    def _in_reach(self, t: EdgePoint) -> np.ndarray:
+        """Per edge, False where the edge lies decisively farther than the
+        working radius from t's point, so no subsegment of it can cover t."""
+        V = self.S.vertices
+        balls = ball_intervals(V[:-1], V[1:], self.S.edge_point_coords(t), self.feas_delta)
+        return balls.tight | (balls.lo <= 1.0)
 
     def feasible_weight(self, t: EdgePoint) -> float:
         """Probability mass of the candidates able to cover t."""

@@ -20,7 +20,11 @@ initial one.  There are two:
   per-edge candidate grids; the search runs at 9*delta, for 12*delta.
 
 The search reads coverage from one cache per solve, keyed by candidate
-number (``_CoverageCache``), and holds nothing per candidate it never drew.
+number (``_CoverageCache``).  An implicit solve's cache holds only the
+candidates drawn.  An explicit solve's cache also answers the feasibility
+queries: by a feasibility mask over all candidates at first, and once the
+masks paid would reach the cost of filling every candidate, by filling all
+of them and stabbing their window intervals at each witness.
 
 An explicit round needs only which candidates its k' draws hit, so it draws
 the per-candidate counts from one multinomial (``sample_indices``), in time
@@ -47,7 +51,9 @@ import numpy as np
 
 from .candidates import Candidate, candidate_segments, candidate_set
 from .coverage import (
+    MAX_WINDOW_EDGES,
     Coverage,
+    WindowTable,
     batch_candidate_coverage,
     batch_feasible_mask,
     covers_unit,
@@ -116,14 +122,15 @@ class ExplicitDist:
 
     Weights are kept normalized; log2_scale records the factor divided out
     so the true total weight remains available for the growth invariant.
-    ``query`` carries what a feasibility query needs: the curve, the
-    candidates' start and end points and the working radius.  Only
+    A candidate is feasible at t exactly when t lies in its structured
+    coverage, so the feasible sets come from ``cache``, the coverage cache
+    of the solve, which every weighting rebuilt from this one shares.  Only
     ``feasible_weight`` and ``rebuilt_with`` read it.
     """
 
     candidates: List[Candidate]
     weights: np.ndarray
-    query: Optional[tuple] = None
+    cache: Optional["_CoverageCache"] = None
     total: float = field(init=False)
     log2_scale: float = 0.0
 
@@ -144,9 +151,8 @@ class ExplicitDist:
         S: PolyCurve, candidates: Sequence[Candidate], delta: float, weights: Optional[np.ndarray] = None
     ) -> "ExplicitDist":
         """Weights over candidates on S, uniform by default, queried at radius delta."""
-        starts, ends = candidate_segments(S, candidates)
         w = np.ones(len(candidates)) if weights is None else weights
-        return ExplicitDist(list(candidates), w, (S, starts, ends, delta))
+        return ExplicitDist(list(candidates), w, _CoverageCache(S, delta, candidate_segments(S, candidates)))
 
     def log2_total(self) -> float:
         return math.log2(self.total) + self.log2_scale
@@ -161,15 +167,13 @@ class ExplicitDist:
         return self.candidates[number]
 
     def _feasible_set(self, t: EdgePoint) -> np.ndarray:
-        """Numbers of the candidates able to cover t, from one feasibility mask.
+        """Numbers of the candidates able to cover t.
 
         The last witness's set is kept, so ``rebuilt_with`` after
-        ``feasible_weight`` at the same witness computes no second mask.
+        ``feasible_weight`` at the same witness queries the cache once.
         """
         if self._feasible[0] != t:
-            S, starts, ends, delta = self.query
-            mask = batch_feasible_mask(S, t, starts, ends, delta)
-            self._feasible = (t, np.flatnonzero(mask))
+            self._feasible = (t, self.cache.feasible(t))
         return self._feasible[1]
 
     def feasible_weight(self, t: EdgePoint) -> float:
@@ -190,7 +194,7 @@ def weight_update(dist: ExplicitDist, F: Sequence[int]) -> ExplicitDist:
     if peak > 2.0**500:  # renormalize well before float overflow
         w /= peak
         scale += math.log2(peak)
-    return ExplicitDist(dist.candidates, w, dist.query, log2_scale=scale)
+    return ExplicitDist(dist.candidates, w, dist.cache, log2_scale=scale)
 
 
 def sample_indices(dist: ExplicitDist, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -215,6 +219,11 @@ class CoverResult:
     # already computed
     coverage_filled: int = 0
     coverage_cache_hits: int = 0
+    # the feasible-set mass at each proper update, in order
+    feasible_mass: List[float] = field(default_factory=list)
+    # explicit solves: how the feasibility queries were answered
+    # (``_CoverageCache.feasibility``); None for the other searches
+    feasibility: Optional[dict] = None
 
     def center_segments(self, S: PolyCurve) -> List[Segment]:
         return [c.segment(S) for c in self.centers]
@@ -224,6 +233,13 @@ class CoverResult:
 class _LoopStats:
     rounds: int = 0
     proper: int = 0
+    feasible_mass: List[float] = field(default_factory=list)
+
+
+# The most windows ``coverage.window_set`` returns.  A mask is charged them
+# wherever its witness lies: it reads the cells of up to seven edges around
+# the witness's edge.
+_MASK_WINDOWS = MAX_WINDOW_EDGES * (MAX_WINDOW_EDGES + 1) // 2
 
 
 class _CoverageCache:
@@ -232,14 +248,28 @@ class _CoverageCache:
     A candidate is filled on its first draw, with the others new in the same
     round; ``filled`` counts the candidates filled and ``hits`` the draws
     that found theirs filled already.
+
+    Given ``segments``, the (starts, ends) of every candidate of an explicit
+    list, the cache answers that list's feasibility queries (``feasible``),
+    costing both ways of answering in windows decided per candidate.  A
+    query is a feasibility mask over all candidates, ``_MASK_WINDOWS`` each,
+    until the masks run, with this one, reach the cost of a table fill,
+    4*ne - 6 each.  That query fills every candidate, those drawn before
+    again, in one call that keeps the window intervals, and it and every
+    later query stabs them (``coverage.WindowTable``).  No fill before it
+    keeps windows, so a solve that never switches holds none.
     """
 
-    def __init__(self, S: PolyCurve, delta: float):
+    def __init__(self, S: PolyCurve, delta: float, segments: Optional[tuple] = None):
         self.S = S
         self.delta = delta
         self.row: Dict[int, int] = {}  # each filled candidate's row in table
         self.table = Coverage.of([])
         self.filled = self.hits = 0
+        self.segments = segments
+        self.stabbed: Optional[WindowTable] = None
+        self.masks = self.table_queries = self.band = 0
+        self.table_filled_at: Optional[int] = None  # the query that filled every candidate
 
     def intervals_for(self, weighting: Weighting, drawn: np.ndarray) -> Coverage:
         """Coverage of each given candidate; the numbers must be distinct."""
@@ -252,6 +282,37 @@ class _CoverageCache:
             self.table = self.table.extended(batch_candidate_coverage(self.S, starts, ends, self.delta))
             self.filled += len(new)
         return self.table.take(np.array([self.row[n] for n in numbers], dtype=np.intp))
+
+    def feasible(self, t: EdgePoint) -> np.ndarray:
+        """Increasing numbers of the candidates able to cover t."""
+        S, (starts, ends), delta = self.S, self.segments, self.delta
+        if self.stabbed is None:
+            fill = sum(max(S.num_edges - L, 0) for L in range(MAX_WINDOW_EDGES))
+            if (self.masks + 1) * _MASK_WINDOWS < fill:
+                self.masks += 1
+                return np.flatnonzero(batch_feasible_mask(S, t, starts, ends, delta))
+            self.table_filled_at = self.masks + 1
+            n = starts.shape[0]
+            self.table = batch_candidate_coverage(S, starts, ends, delta, windows=True)
+            self.filled += n - len(self.row)
+            self.row = dict(zip(range(n), range(n)))
+            self.stabbed = WindowTable(self.table.windows)
+            self.table.windows = None  # stabbed holds them, sorted
+        self.table_queries += 1
+        mask, band = self.stabbed.feasible_mask(S, t, starts, ends, delta)
+        self.band += band
+        return np.flatnonzero(mask)
+
+    def feasibility(self) -> Optional[dict]:
+        """How the feasibility queries were answered; None without segments."""
+        if self.segments is None:
+            return None
+        return {
+            "masks": self.masks,
+            "table_queries": self.table_queries,
+            "band_candidates": self.band,
+            "table_filled_at": self.table_filled_at,
+        }
 
 
 def k_approx_cover(
@@ -300,11 +361,15 @@ def k_approx_cover(
                 n_sampled=len(drawn),
                 coverage_filled=cache.filled,
                 coverage_cache_hits=cache.hits,
+                feasible_mass=list(stats.feasible_mass),
+                feasibility=cache.feasibility(),
             )
-        if weighting.feasible_weight(witness) <= 1.0 / r:
+        mass = weighting.feasible_weight(witness)
+        if mass <= 1.0 / r:
             weighting = weighting.rebuilt_with(witness)
             updates += 1
             stats.proper += 1
+            stats.feasible_mass.append(mass)
             if check_invariants:
                 # each light update multiplies total weight by at most 1 + 1/r
                 bound = updates * math.log2(1.0 + 1.0 / r)
@@ -314,13 +379,18 @@ def k_approx_cover(
 
 
 def doubling_search(
-    S: PolyCurve, weighting: Weighting, n_candidates: int, delta_p: float, cfg: SolverConfig
+    S: PolyCurve,
+    weighting: Weighting,
+    n_candidates: int,
+    delta_p: float,
+    cfg: SolverConfig,
+    cache: Optional[_CoverageCache] = None,
 ) -> CoverResult:
     """Double the target size k until ``k_approx_cover`` covers S at radius delta_p.
 
     Every k starts again from ``weighting``, which weighs n_candidates
-    candidates.  The random stream, the coverage cache and the round and
-    update counts carry across all k.
+    candidates.  The random stream, the coverage cache (a new one unless
+    given) and the round and update counts carry across all k.
 
     With k' forced, a phase that spends all its rounds without a cover or
     a weight update ends the search: every later phase starts from the same
@@ -329,13 +399,15 @@ def doubling_search(
     """
     gamma = cfg.resolve_gamma(S.dim)
     rng = np.random.default_rng(cfg.rng_seed)
-    cache = _CoverageCache(S, delta_p)
+    if cache is None:
+        cache = _CoverageCache(S, delta_p)
     stats = _LoopStats()
 
     def failure(message: str) -> SolverFailure:
         return SolverFailure(message, {
             "max_k": cfg.max_k, "candidates": n_candidates, "rounds": stats.rounds,
-            "proper_iterations": stats.proper,
+            "proper_iterations": stats.proper, "feasible_mass": stats.feasible_mass,
+            "feasibility": cache.feasibility(),
         })
 
     k = 1
@@ -394,7 +466,8 @@ def approx_cover(
     S = search_curve(P, delta, simplification)
     B = candidates if candidates is not None else candidate_set(S, delta)
     delta_p = 8.0 * delta
-    return doubling_search(S, ExplicitDist.on(S, B, delta_p), len(B), delta_p, cfg)
+    dist = ExplicitDist.on(S, B, delta_p)
+    return doubling_search(S, dist, len(B), delta_p, cfg, dist.cache)
 
 
 def _promote_single_vertex(P: PolyCurve) -> PolyCurve:

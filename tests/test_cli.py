@@ -207,6 +207,16 @@ def test_report_counts_proper_updates(tmp_path, monkeypatch, variant):
         assert report["coverage_filled"] >= report["n_sampled"]
     if variant == "explicit":  # rounds redraw from a few hundred candidates
         assert report["coverage_cache_hits"] > 0
+    # one feasible-set mass per update, each light
+    assert report["feasible_mass"] == results[0].feasible_mass
+    assert len(report["feasible_mass"]) == report["proper_updates"]
+    assert all(0.0 < m <= 0.5 for m in report["feasible_mass"])
+    if variant == "explicit":
+        feasibility = report["feasibility"]
+        assert feasibility == results[0].feasibility
+        assert feasibility["masks"] + feasibility["table_queries"] >= report["proper_updates"]
+    else:
+        assert report["feasibility"] is None
 
 
 @pytest.mark.parametrize("variant", ["explicit", "implicit", "greedy"])

@@ -9,7 +9,7 @@ import subcover.implicit as implicit
 import subcover.solver as solver
 from subcover.candidates import Candidate
 from subcover.coverage import feasible_rectangles
-from subcover.geometry import EdgePoint, PolyCurve, curve_from_points
+from subcover.geometry import EdgePoint, PolyCurve, curve_from_points, point_segment_dist_sq
 from subcover.implicit import EdgeArrangement, EdgeGrid, implicit_approx_cover
 from subcover.oracle import covers_unit as oracle_covers, full_coverage
 from subcover.solver import SolverConfig
@@ -157,9 +157,17 @@ def test_rebuild_deterministic():
     assert all(np.array_equal(c1.cum, c2.cum) for c1, c2 in zip(a1.cells, a2.cells))
 
 
+def within_reach(S, t, radius):
+    """Edges with a point within radius of t's point, by the scalar distance."""
+    pt = S.edge_point_coords(t)
+    return [e for e in range(1, S.num_edges + 1)
+            if point_segment_dist_sq(pt, S.vertex(e), S.vertex(e + 1)) <= radius * radius]
+
+
 def test_update_cost_does_not_grow_with_the_log(monkeypatch):
-    # an update computes the witness's rectangles once per edge, shared by
-    # feasible_weight and rebuilt_with, whatever updates came before it
+    # an update computes the witness's rectangles once per edge within reach
+    # of it, shared by feasible_weight and rebuilt_with, whatever updates
+    # came before it
     calls = []
     rectangles = implicit.feasible_rectangles
 
@@ -175,7 +183,55 @@ def test_update_cost_does_not_grow_with_the_log(monkeypatch):
         calls.clear()
         arr.feasible_weight(t)
         arr = arr.rebuilt_with(t)
-        assert len(calls) == S.num_edges
+        assert [c[2] for c in calls] == within_reach(S, t, 1.2)
+
+
+def reach_scenes():
+    """Curves, grid spacings, radii and witnesses: random walks, and lattice
+    walks at integer radii, where points lie exactly at the radius."""
+    rng = np.random.default_rng(44)
+    for trial in range(16):
+        n = int(rng.integers(2, 7))
+        if trial % 2:
+            pts = rng.integers(-3, 4, size=(n, 2)).astype(float)
+            pts = pts[np.concatenate([[True], np.any(pts[1:] != pts[:-1], axis=1)])]
+            if len(pts) < 2:
+                continue
+            S, delta, radius = PolyCurve(pts), 0.5, float(rng.integers(1, 3))
+        else:
+            S = PolyCurve(np.cumsum(rng.normal(size=(n, 2)) * 2, axis=0))
+            delta = float(rng.uniform(0.4, 1.2))
+            radius = 2.0 * delta
+        log = [EdgePoint(e, u) for e in range(1, S.num_edges + 1) for u in (0.0, 0.5, 1.0)]
+        log += [S.locate(float(x)) for x in rng.uniform(0, 1, 3)]
+        yield S, delta, radius, log
+
+
+def test_edges_out_of_reach_have_no_feasible_rectangles():
+    skipped = 0
+    for S, delta, radius, log in reach_scenes():
+        arr = EdgeArrangement(S, delta, radius)
+        for t in log:
+            for e in np.flatnonzero(~arr._in_reach(t)).tolist():
+                skipped += 1
+                assert feasible_rectangles(S, t, e + 1, radius).rects == (), (t, e + 1)
+    assert skipped > 0
+
+
+def test_the_reach_filter_leaves_cells_weights_and_draws_bitwise_unchanged(monkeypatch):
+    for S, delta, radius, log in reach_scenes():
+        log = log[::2]
+        got = arrangement(S, delta, log, feas_delta=radius)
+        with monkeypatch.context() as mp:
+            mp.setattr(EdgeArrangement, "_in_reach", lambda self, t: np.ones(self.S.num_edges, dtype=bool))
+            want = arrangement(S, delta, log, feas_delta=radius)
+            want_mass = [want.feasible_weight(t) for t in log]
+        assert got.total_weight == want.total_weight
+        for a, b in zip(got.cells, want.cells):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert [got.feasible_weight(t) for t in log] == want_mass
+        draws = [arr.sample_candidates(200, np.random.default_rng(5)) for arr in (got, want)]
+        assert np.array_equal(*draws)
 
 
 @pytest.mark.parametrize("delta", [2.5e-10, 1e-10])

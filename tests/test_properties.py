@@ -38,6 +38,7 @@ from subcover.coverage import (
     is_feasible,
     merge_intervals,
     point_not_covered_from_intervals,
+    WindowTable,
 )
 from subcover.freespace import (
     FreeSpaceRow,
@@ -262,6 +263,87 @@ def test_batch_feasible_mask_equals_scalar(scene, on_edges, factor, edge, local,
     mask = batch_feasible_mask(S, t, starts, ends, radius)
     for k in range(len(starts)):
         assert mask[k] == is_feasible(Segment(starts[k], ends[k]), S, t, radius), k
+
+
+def _table_witnesses(S: PolyCurve, cov) -> list:
+    """Edge points at every stored window end and one ulp either side of it,
+    at every vertex as local 0 and as local 1, and at the gap midpoints of
+    three thirds of the candidates."""
+    x = np.concatenate(cov.windows[1:3])
+    x = np.unique(np.clip(np.concatenate([x, np.nextafter(x, -1.0), np.nextafter(x, 2.0)]), 0.0, 1.0))
+    out = [S.locate(float(v)) for v in x]
+    out += [EdgePoint(e, u) for e in range(1, S.num_edges + 1) for u in (0.0, 1.0)]
+    gaps = (point_not_covered_from_intervals(S, cov.take(np.arange(k, len(cov), 3))) for k in range(3))
+    return out + [t for t in gaps if t is not None]
+
+
+def _assert_stabbing_equals_mask(S, t, table, starts, ends, radius, scalar: bool) -> int:
+    """The table's feasible set at t against the mask, and the mask against
+    ``is_feasible`` when scalar; returns the candidates sent to the exact path."""
+    got, band = table.feasible_mask(S, t, starts, ends, radius)
+    want = batch_feasible_mask(S, t, starts, ends, radius)
+    assert got.tolist() == want.tolist(), t
+    if scalar:
+        assert want.tolist() == [is_feasible(Segment(a, b), S, t, radius) for a, b in zip(starts, ends)], t
+    return band
+
+
+@PROPERTY
+@given(
+    scenes(max_n=6, max_points=3),
+    on_edges,
+    radius_factor,
+    st.sampled_from(["segments", "candidates"]),
+    st.integers(0, 6),
+)
+def test_stabbing_equals_the_mask_at_window_ends_vertices_and_gaps(scene, on_edges, factor, source, pick):
+    S, delta, extra = scene
+    if source == "segments":
+        starts, ends = _segments(S, extra, on_edges)
+        radius = factor * delta
+    else:
+        S, radius = PolyCurve(4.0 * S.vertices), 8.0 * delta
+        starts, ends = candidate_segments(S, candidate_set(S, delta))
+    cov = batch_candidate_coverage(S, starts, ends, radius, windows=True)
+    table = WindowTable(cov.windows)
+    for n, t in enumerate(_table_witnesses(S, cov)):
+        # every seventh witness also against the scalar contract
+        _assert_stabbing_equals_mask(S, t, table, starts, ends, radius, n % 7 == pick)
+
+
+def test_stabbing_equals_the_mask_on_lattice_scenes_and_sends_the_band_to_the_exact_path():
+    band = []
+
+    @PROPERTY
+    @given(scenes(max_n=7, snapped=st.just(True)), st.integers(0, 28))
+    def check(scene, pick):
+        P, delta, _ = scene
+        S = PolyCurve(4.0 * P.vertices)
+        starts, ends = candidate_segments(S, candidate_set(S, delta))
+        cov = batch_candidate_coverage(S, starts, ends, 8.0 * delta, windows=True)
+        table = WindowTable(cov.windows)
+        for n, t in enumerate(_table_witnesses(S, cov)):
+            # the scalar contract on every 29th witness: about 13,000 in all
+            band.append(_assert_stabbing_equals_mask(S, t, table, starts, ends, 8.0 * delta, n % 29 == pick))
+
+    check()
+    assert sum(band) > 0
+
+
+def test_stabbing_where_two_windows_touch():
+    # On a straight curve 0-2-4-6 at radius 1, the segment from 1 to 3 has a
+    # one-cell window on the first edge ending at vertex 2 and one on the
+    # second edge starting there: the two touch at vertex 2's parameter.
+    S = PolyCurve(np.array([[0.0, 0.0], [2.0, 0.0], [4.0, 0.0], [6.0, 0.0]]))
+    starts = np.array([[1.0, 0.0], [3.0, 0.0], [1.0, 0.5], [0.0, 0.0]])
+    ends = np.array([[3.0, 0.0], [5.0, 0.0], [3.0, -0.5], [2.0, 1.0]])
+    cov = batch_candidate_coverage(S, starts, ends, 1.0, windows=True)
+    owner, lo, hi, _ = cov.windows
+    joint = S.param(2)
+    assert np.any((owner == 0) & (hi == joint)) and np.any((owner == 0) & (lo == joint))
+    for x in (joint, np.nextafter(joint, 0.0), np.nextafter(joint, 1.0), S.param(3)):
+        for t in (S.locate(float(x)), EdgePoint(1, 1.0), EdgePoint(2, 0.0)):
+            _assert_stabbing_equals_mask(S, t, WindowTable(cov.windows), starts, ends, 1.0, True)
 
 
 def reference_coverage_block(S: PolyCurve, starts: np.ndarray, ends: np.ndarray, delta: float):

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import subcover.solver as solver
 from subcover.candidates import Candidate, candidate_segments, candidate_set
 from subcover.coverage import (
     Coverage,
     batch_candidate_coverage,
+    batch_feasible_mask,
     covers_unit,
     merge_intervals,
     point_not_covered_from_intervals,
@@ -201,20 +203,108 @@ def test_size_cap_failure_has_the_same_diagnostics_for_both_weightings(solve):
     with pytest.raises(SolverFailure) as failure:
         solve(P, 1.0, SolverConfig(max_k=1))
     diagnostics = failure.value.diagnostics
-    assert set(diagnostics) == {"max_k", "candidates", "rounds", "proper_iterations"}
+    assert set(diagnostics) == {
+        "max_k", "candidates", "rounds", "proper_iterations", "feasible_mass", "feasibility",
+    }
     assert (diagnostics["max_k"], diagnostics["rounds"], diagnostics["proper_iterations"]) == (1, 0, 0)
+    assert diagnostics["feasible_mass"] == []
+    if solve is approx_cover:
+        assert diagnostics["feasibility"] == {
+            "masks": 0, "table_queries": 0, "band_candidates": 0, "table_filled_at": None,
+        }
+    else:
+        assert diagnostics["feasibility"] is None
 
 
 def test_forced_k_prime_ends_the_search_at_the_first_phase_without_an_update():
     # Two centres are needed and k' = 1: every witness's feasible set is
     # heavy, so the k = 2 phase spends its 1,000 rounds without an update.
-    # With k' fixed, the phases at k = 4 and 8 would only repeat that.
+    # With k' fixed, the phases at k = 4 and 8 would only repeat that.  On
+    # four candidates one mask costs more than the whole fill, so the first
+    # query fills the table; a witness repeated from the round before is not
+    # queried again.
     P = curve_from_points([(0, 0), (20, 0), (20, 20)])
     with pytest.raises(SolverFailure, match="no weight update") as failure:
         approx_cover(P, 1.0, SolverConfig(rng_seed=1, k_prime_override=1, max_k=8))
     assert failure.value.diagnostics == {
-        "max_k": 8, "candidates": 4, "rounds": 1000, "proper_iterations": 0,
+        "max_k": 8, "candidates": 4, "rounds": 1000, "proper_iterations": 0, "feasible_mass": [],
+        "feasibility": {"masks": 0, "table_queries": 491, "band_candidates": 0, "table_filled_at": 1},
     }
+
+
+def noisy_lapped(corners, n: int, laps: int, noise: float, seed: int = 1) -> PolyCurve:
+    k = len(corners)
+    corners = np.asarray(corners, dtype=float)
+    t = np.linspace(0.0, float(k * laps), n, endpoint=False)
+    f = (t - np.floor(t))[:, None]
+    side = np.floor(t).astype(int) % k
+    pts = (1.0 - f) * corners[side] + f * corners[(side + 1) % k]
+    return PolyCurve(pts + np.random.default_rng(seed).normal(0.0, noise, pts.shape))
+
+
+def recording(calls, fn):
+    def call(*args, **kwargs):
+        calls.append(args + (kwargs,))
+        return fn(*args, **kwargs)
+
+    return call
+
+
+TRIANGLE = [(0.0, 0.0), (30.0, 0.0), (15.0, 26.0)]
+SQUARE = [(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_every_explicit_feasible_set_equals_the_full_mask(monkeypatch, seed):
+    sets = []
+    feasible = solver._CoverageCache.feasible
+
+    def spied(cache, t):
+        got = feasible(cache, t)
+        starts, ends = cache.segments
+        sets.append((got.tolist(), np.flatnonzero(batch_feasible_mask(cache.S, t, starts, ends, cache.delta)).tolist()))
+        return got
+
+    monkeypatch.setattr(solver._CoverageCache, "feasible", spied)
+    res = approx_cover(noisy_lapped(TRIANGLE, 60, 2, 0.15), 0.5, SolverConfig(rng_seed=seed, k_prime_override=4))
+    assert res.feasibility["table_queries"] > 0
+    assert len(sets) == res.feasibility["masks"] + res.feasibility["table_queries"]
+    assert all(got == want for got, want in sets)
+    assert len(res.feasible_mass) == res.proper_iterations
+    assert all(0.0 < m <= 1.0 / 4.0 for m in res.feasible_mass)  # light at k = 2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_seven_vertex_curve_fills_its_table_at_its_first_or_second_update(monkeypatch, seed):
+    calls, masks = [], []
+    monkeypatch.setattr(solver, "batch_candidate_coverage", recording(calls, batch_candidate_coverage))
+    monkeypatch.setattr(solver, "batch_feasible_mask", recording(masks, batch_feasible_mask))
+    P = noisy_lapped(TRIANGLE, 60, 2, 0.15)
+    S = simplify_curve(P, 0.5).curve
+    B = candidate_set(S, 0.5)
+    res = approx_cover(P, 0.5, SolverConfig(rng_seed=seed, k_prime_override=4))
+    assert S.n == 7
+    filled_at = res.feasibility["table_filled_at"]
+    assert filled_at in (1, 2)
+    assert len(masks) == res.feasibility["masks"] == filled_at - 1
+    fills = [len(args[1]) for args in calls]
+    # the table fill is the last fill: it holds every candidate, and every
+    # later draw is a cache hit
+    assert fills[-1] == res.coverage_filled == len(B)
+    assert len(fills) <= filled_at + 1
+    assert [kwargs for *_, kwargs in calls] == [{}] * (len(fills) - 1) + [{"windows": True}]
+
+
+def test_a_long_curve_with_few_updates_never_fills_its_table(monkeypatch):
+    calls = []
+    monkeypatch.setattr(solver, "batch_candidate_coverage", recording(calls, batch_candidate_coverage))
+    P = noisy_lapped(SQUARE, 600, 3, 0.4)
+    res = approx_cover(P, 0.5, SolverConfig(rng_seed=0, k_prime_override=8))
+    fills = [len(args[1]) for args in calls]
+    assert res.feasibility["table_filled_at"] is None
+    assert res.feasibility["masks"] == res.iterations - 1 > 10
+    assert res.feasibility["table_queries"] == 0
+    assert max(fills) <= 8 and res.coverage_filled == sum(fills) < 8 * res.iterations
 
 
 def test_approx_cover_single_segment():
