@@ -37,36 +37,21 @@ class ParseError(ValueError):
 
 def ingest(path: str) -> PolyCurve:
     """Read a polygonal curve from a delimited text file."""
-    rows: List[List[float]] = []
-    lines: List[int] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.replace(",", " ").split()
-            try:
-                vals = [float(x) for x in parts]
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric field in {line!r}")
-            if not all(map(math.isfinite, vals)):
-                raise ParseError(f"{path}:{lineno}: non-finite field in {line!r}")
-            if rows and len(vals) != len(rows[0]):
-                raise ParseError(
-                    f"{path}:{lineno}: expected {len(rows[0])} columns, got {len(vals)}"
-                )
-            rows.append(vals)
-            lines.append(lineno)
-    if not rows:
-        raise ParseError(f"{path}: no points found")
-    pts = np.asarray(rows, dtype=float)
+        # the lines that iterating the file gives, with universal newlines
+        lines = [raw.strip() for raw in fh.read().split("\n")]
+    linenos = [k for k, line in enumerate(lines, start=1) if line and not line.startswith("#")]
+    fields = [lines[k - 1].replace(",", " ").split() for k in linenos]
+    pts = _fields_array(fields)
+    if pts is None:
+        pts = _lines_array(path, lines, linenos, fields)
     keep = np.concatenate([[True], np.any(pts[1:] != pts[:-1], axis=1)])
     pts = pts[keep]
     with np.errstate(over="ignore", invalid="ignore"):
         params = arclength_params(pts)
     stuck = np.flatnonzero(~(np.diff(params) > 0.0))
     if stuck.size:
-        lineno = np.asarray(lines)[keep][stuck[0] + 1]
+        lineno = np.asarray(linenos)[keep][stuck[0] + 1]
         raise ParseError(
             f"{path}:{lineno}: the point's arclength parameter does not increase "
             "past the previous point's in double precision"
@@ -74,10 +59,43 @@ def ingest(path: str) -> PolyCurve:
     return PolyCurve(pts, params)
 
 
+def _fields_array(fields: List[List[str]]) -> Optional[np.ndarray]:
+    """The points of a well-formed file, all fields parsed by ``float`` in one
+    pass; None where a line is malformed, for ``_lines_array`` to report."""
+    d = len(fields[0]) if fields else 0
+    if d == 0 or any(len(f) != d for f in fields):
+        return None
+    try:
+        pts = np.array([float(x) for f in fields for x in f]).reshape(-1, d)
+    except ValueError:
+        return None
+    return pts if np.isfinite(pts).all() else None
+
+
+def _lines_array(path: str, lines: List[str], linenos: List[int], fields: List[List[str]]) -> np.ndarray:
+    """The points, line by line; raises the ParseError of the first bad line."""
+    rows: List[List[float]] = []
+    for lineno, parts in zip(linenos, fields):
+        line = lines[lineno - 1]
+        try:
+            vals = [float(x) for x in parts]
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-numeric field in {line!r}")
+        if not all(map(math.isfinite, vals)):
+            raise ParseError(f"{path}:{lineno}: non-finite field in {line!r}")
+        if rows and len(vals) != len(rows[0]):
+            raise ParseError(
+                f"{path}:{lineno}: expected {len(rows[0])} columns, got {len(vals)}"
+            )
+        rows.append(vals)
+    if not rows:
+        raise ParseError(f"{path}: no points found")
+    return np.asarray(rows, dtype=float)
+
+
 def write_curve(P: PolyCurve, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for v in P.vertices:
-            fh.write(" ".join(f"{x:.17g}" for x in v) + "\n")
+        fh.write("".join(" ".join(f"{x:.17g}" for x in v) + "\n" for v in P.vertices.tolist()))
 
 
 @dataclass

@@ -556,9 +556,10 @@ def segment_pairs_dist_sq(p1: np.ndarray, q1: np.ndarray, p2: np.ndarray, q2: np
 # together decide whether the clamped interval is empty) fall within that
 # bound.  Endpoints are compared in floats by ``filtered_nonneg``, which
 # treats a comparison whose margin is within the sum of the two entries'
-# ``err`` as undecided, and swept by ``filtered_sweep``; an undecided or
-# tight entry sends the whole decision to the radical path, so a filtered
-# result always equals the exact one (Shewchuk's filtered predicates, 1997).
+# ``err`` as undecided, and swept by ``filtered_sweep``; an undecided
+# comparison or a tight entry sends its decision to the radical path, unless
+# the sweep's failure rule below decides it, so a filtered result always
+# equals the exact one (Shewchuk's filtered predicates, 1997).
 # These three functions and ``radicals_apart``, which orders two radicals
 # by their float values, are the only places the tolerance policy lives.
 #
@@ -574,6 +575,25 @@ def segment_pairs_dist_sq(p1: np.ndarray, q1: np.ndarray, p2: np.ndarray, q2: np
 # squares a difference that cancels), so the tolerance is a multiple of
 # sqrt(eps): BALL_TOL*T covers both terms up to d in the thousands with
 # room to spare, and is still far below any margin a generic input has.
+# None of this depends on the entry's own decision: where the float rad is
+# negative and the radical one is not, the roots still differ by at most
+# sqrt(|rad - rad'|) <= sqrt(c*u)*T, and clamping to [0, 1] moves no two
+# values further apart.  So a tight entry keeps its clamped float endpoints,
+# and if its radical interval is nonempty, its endpoints lie within err of
+# them.  A degenerate segment (v = 0) has NaN endpoints, which bound nothing.
+#
+# The sweep's failure rule.  Crossing k fails where its upper end lies below
+# the reach, the running maximum of the lower ends.  If the float hi_k lies
+# more than slack = err_k + max(err_0..err_k) below the float reach, then
+# either some interval 0..k is radically empty, or every one is nonempty
+# and, with j the crossing whose lo_j set the float reach, radical hi_k <=
+# hi_k + err_k < lo_j - err_j <= radical lo_j: the radical sweep fails at k
+# or before.  That holds whatever the
+# crossings before k decided, tight or undecided ones included, and for a
+# tight crossing k too, so a decisive failure is trusted wherever it lies.
+# A tight crossing never holds decisively, since its interval may be
+# empty.  A NaN end never decides: its margin, and those of every later
+# crossing, whose reach it makes NaN, are undecided.
 
 BALL_TOL = 128.0 * math.sqrt(float(np.finfo(float).eps))
 
@@ -596,10 +616,11 @@ BLOCK_ENTRIES = 1 << 16
 
 
 class BallIntervals(NamedTuple):
-    """Float ball intervals with their error bound; empty is (+inf, -inf)."""
+    """Float ball intervals with their error bound; decisively empty is
+    (+inf, -inf), and a tight entry keeps its clamped float ends."""
 
-    lo: np.ndarray  # clamped lower ends in [0, 1]
-    hi: np.ndarray  # clamped upper ends in [0, 1]
+    lo: np.ndarray  # clamped lower ends, at least 0; NaN for a degenerate segment
+    hi: np.ndarray  # clamped upper ends, at most 1
     err: np.ndarray  # bound on |float endpoint - radical endpoint|
     tight: np.ndarray  # emptiness undecided in floats: ask the radical path
 
@@ -612,7 +633,8 @@ def ball_intervals(
     ``starts``, ``ends`` and ``centres`` broadcast over their leading axes
     and share the last (coordinate) axis; the result has the broadcast
     leading shape.  Entries that are not tight decide emptiness exactly as
-    ``ball_segment_radical`` does; see the section comment for ``err``.
+    ``ball_segment_radical`` does; a tight entry's radical ends, if it has
+    any, lie within ``err`` of its float ones (section comment).
     """
     v = ends - starts
     w = starts - centres
@@ -631,12 +653,12 @@ def ball_intervals(
         # A degenerate segment (aa == 0) makes every margin NaN, and
         # overflow makes it infinite: both are tight.
         margin = np.fmin(np.copysign(root, rad), np.fmin(1.0 - lo, hi))
-        err = BALL_TOL * ((np.sqrt(ww) + delta) / np.sqrt(aa) + 1.0)
+        err = BALL_TOL * (np.sqrt(ww) + delta) / np.sqrt(aa) + BALL_TOL
         size = np.abs(margin)
         tight = ~((size > err) & (size < np.inf))
-        ok = margin >= 0.0
-    lo = np.where(ok, np.maximum(lo, 0.0), np.inf)
-    hi = np.where(ok, np.minimum(hi, 1.0), -np.inf)
+        keep = tight | (margin >= 0.0)
+    lo = np.where(keep, np.maximum(lo, 0.0), np.inf)
+    hi = np.where(keep, np.minimum(hi, 1.0), -np.inf)
     return BallIntervals(lo, hi, err, tight)
 
 
@@ -659,13 +681,14 @@ def filtered_sweep(balls: BallIntervals, axis: int = -1):
     parameter exists iff the running maximum of the lower ends never passes
     an upper end (``freespace._sweep_crossings`` is the exact version).
     Returns cumulative masks (holds, undecided): ``holds[k]`` when crossings
-    0..k all hold decisively, ``undecided[k]`` when the first of them that
-    does not hold is undecided, so only the radical path can answer.  Where
-    neither is set the sweep fails decisively.
+    0..k all hold decisively; otherwise the sweep to k fails decisively if
+    one of crossings 0..k does, even after an undecided one, and a tight
+    crossing fails where its band lies below the reach (the section
+    comment's failure rule); the sweep is ``undecided`` where none does.
     """
-    reach = np.maximum.accumulate(balls.lo, axis=axis)
+    margin = balls.hi - np.maximum.accumulate(balls.lo, axis=axis)
     slack = np.maximum.accumulate(balls.err, axis=axis) + balls.err
-    ok, undecided = filtered_nonneg(balls.hi - reach, slack, balls.tight)
-    failed = np.logical_or.accumulate(~(ok | undecided), axis=axis)
-    holds = np.logical_and.accumulate(ok, axis=axis)
-    return holds, np.logical_or.accumulate(undecided & ~failed, axis=axis)
+    # a tight crossing may fail, never hold; a NaN margin does neither
+    failed = np.logical_or.accumulate(margin < -slack, axis=axis)
+    holds = np.logical_and.accumulate((margin > slack) & ~balls.tight, axis=axis)
+    return holds, ~(holds | failed)

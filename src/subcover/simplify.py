@@ -15,6 +15,18 @@ They are decided a window per anchor: the stack loop asks each anchor about
 targets in increasing order, so one kernel call answers a block of targets
 at once (``ShortcutBlocks``), and the kernel's fixed cost is paid per block
 rather than per shortcut.
+
+Most calls are one per kept vertex.  A new anchor's first block is as wide
+as the run of the anchor below it, and carries a witness column: the
+anchor's own ball against the segments from the vertex below it.  Every
+shortcut from that vertex past the anchor skips the anchor, so where the
+ball is decisively empty the answer is a decisive "no", and the anchor
+below needs no block of its own along the new anchor's run.  The stack
+loop takes such decided steps in runs.  The sweep behind every block fails
+a crossing decisively wherever its float upper end lies more than the
+error bound below the float reach, after tight or undecided crossings too
+(``geometry.filtered_sweep``), so the exact path runs only where floats
+cannot decide.
 """
 
 from __future__ import annotations
@@ -33,6 +45,7 @@ from .geometry import (
     Segment,
     ball_intervals,
     filtered_sweep,
+    rowdot,
 )
 
 
@@ -51,21 +64,26 @@ def _decide_between(P: PolyCurve, vi: int, vj: int, seg: Segment, delta: float) 
 
 
 class _Block:
-    """One anchor's answers for the targets first..first+len(holds)-1."""
+    """One anchor's answers for the targets first..first+len(holds)-1, and its
+    witness rows: ``missed[k]`` where the anchor's ball decisively misses the
+    segment from the vertex below it to target first+k."""
 
-    __slots__ = ("first", "holds", "undecided", "asked")
+    __slots__ = ("first", "below", "holds", "undecided", "missed", "asked", "spaced")
 
-    def __init__(self, first: int, holds: list, undecided: list):
+    def __init__(self, first: int, below, holds: list, undecided: list, missed: list):
         self.first = first
+        self.below = below
         self.holds = holds
         self.undecided = undecided
-        self.asked = 0  # targets of the block queried so far
+        self.missed = missed
+        self.asked = 0  # rows of the block read so far
+        self.spaced = None  # per row, the spacing test of ShortcutBlocks._run, made on first use
 
     def next_width(self, i: int) -> int:
         """Width of the refill at target i: twice this one if the queries
-        asked every target in turn and continue at i, else the number asked."""
+        read every row and continue at i, else the number of rows read."""
         w = len(self.holds)
-        return 2 * w if self.asked == w and i == self.first + w else self.asked
+        return 2 * w if self.asked >= w and i == self.first + w else min(self.asked, w)
 
 
 class ShortcutBlocks:
@@ -78,15 +96,36 @@ class ShortcutBlocks:
     targets i..i+w-1 against the vertices j+1..i+w-2 and sweeps each row
     along the skipped axis; the sweep is cumulative, so target t reads its
     answer at column t-j-2 and the later columns need no mask.  A target
-    whose sweep stops at a vertex the floats cannot decide goes to the exact
-    path, so every answer equals the exact one.
+    whose sweep does not decide goes to the exact path, so every answer
+    equals the exact one.
 
-    The first block of an anchor has ``FIRST_WIDTH`` targets.  A refill for
-    the same anchor doubles the width while the stack loop asks every target
-    of the previous block in turn, and otherwise takes as many targets as it
-    asked: where the spacing filter drops vertices, as in a dense cloud, the
-    loop skips targets, and long rows of unasked targets would be most of
-    the work.  Every call stays within ``BLOCK_ENTRIES`` kernel entries, or
+    The witness rule.  A query may name ``below``, a vertex under j (the
+    stack loop names the one under j on its stack).  The same call then
+    carries one more column, after the swept ones, which no diagonal
+    reaches: the ball at P_j against the segments from P_below to the same
+    targets.  Every shortcut from below to a target t > j skips j, and its
+    sweep must cross the ball at P_j, so where that ball is decisively
+    empty the shortcut (below, t) fails, and the query for it is answered
+    "no" from this block without a refill of below's own.  "Decisively
+    empty" is the kernel's emptiness test outside its error bound, where
+    it agrees with ``ball_segment_radical``, so the "no" is the exact
+    answer.  The column is added where the anchor below ran more than
+    ``FIRST_WIDTH // 2`` targets: after short runs, as on a random walk,
+    the anchor below seldom outlives its own block, and the column would
+    cost more than it saves.
+
+    Widths.  An anchor's first block is as wide as the run of the anchor
+    below it, j - below targets, plus a quarter (``FIRST_WIDTH`` at least):
+    consecutive sides of a route have similar lengths, so one call usually
+    answers the anchor's whole run.  A refill doubles the width while the
+    queries read every row of the previous block in turn, and otherwise
+    takes as many rows as they read: where the spacing filter drops
+    vertices, as in a dense cloud, the loop skips targets, and long rows of
+    unasked targets would be most of the work.  A refill for a vertex that a
+    witness block answers stops at that block's next decisive "no".  An
+    anchor whose own anchor below is seen to skip it at its first target
+    most likely will not last, and gets ``FIRST_WIDTH``.  Every call stays
+    within ``BLOCK_ENTRIES`` kernel entries, the witness column included, or
     is one target.
     """
 
@@ -94,38 +133,160 @@ class ShortcutBlocks:
 
     def __init__(self, P: PolyCurve, delta: float):
         self.P = P
+        self._V = P.vertices
         self.delta = delta
         self._blocks: dict = {}  # anchor -> _Block
+        self._above: dict = {}  # vertex -> the latest block whose witness is against it
 
-    def holds(self, j: int, i: int) -> bool:
+    def holds(self, j: int, i: int, below=None) -> bool:
+        """Whether the shortcut (j, i) holds; ``below``, a vertex under j,
+        gives a refill of j's block its witness column."""
         if i - j < 2:
             return True  # no vertex is skipped
         block = self._blocks.get(j)
         if block is None or not 0 <= i - block.first < len(block.holds):
-            width = self.FIRST_WIDTH if block is None else block.next_width(i)
-            block = self._blocks[j] = self._refill(j, i, width)
+            block = self._block(j, i, block, below)
+            if block is None:
+                return False
         block.asked += 1
         k = i - block.first
-        if block.holds[k]:
-            return True
+        return block.holds[k] or block.undecided[k] and self._exact(j, i)
+
+    def _exact(self, j: int, i: int) -> bool:
         V = self.P.vertices
-        return block.undecided[k] and _decide_between(
-            self.P, j, i, Segment(V[j - 1], V[i - 1]), self.delta
-        )
+        return _decide_between(self.P, j, i, Segment(V[j - 1], V[i - 1]), self.delta)
+
+    def _block(self, j: int, i: int, block, below):
+        """j's block refilled for target i, where ``block``, j's current one,
+        has no row for it; or None where a witness answers (j, i) "no"."""
+        if block is not None:
+            width = block.next_width(i)
+        else:
+            own = self._blocks.get(below)
+            k = -1 if own is None else i - own.first
+            if below is None or 0 <= k < len(own.holds) and own.holds[k]:
+                # the bottom, or an anchor that the one below it is seen to
+                # skip at i, which most likely will not last
+                width = self.FIRST_WIDTH
+            else:
+                width = max(self.FIRST_WIDTH, (j - below) * 5 // 4)
+        above = self._above.get(j)
+        k = -1 if above is None else i - above.first
+        if 0 <= k < len(above.holds):
+            if above.missed[k]:
+                above.asked += 1
+                return None
+            try:  # stop at the witness block's next decisive "no"
+                width = min(width, above.missed.index(True, k) - k)
+            except ValueError:
+                pass
+        return self._refill(j, i, width, below)
 
     def discard(self, j: int) -> None:
         """Forget anchor j's block; the stack loop calls it when j is popped."""
-        self._blocks.pop(j, None)
+        block = self._blocks.pop(j, None)
+        if block is not None and block.below is not None and self._above.get(block.below) is block:
+            del self._above[block.below]
 
-    def _refill(self, j: int, i: int, width: int) -> _Block:
-        V = self.P.vertices
+    def stack_loop(self, min_gap_sq: float) -> List[int]:
+        """``simplify_curve``'s loop over the targets 2..n; returns the stack.
+
+        A step at target i pops the top while the vertex under it admits a
+        shortcut to i, then pushes i if it clears the spacing test against
+        the new top.  Runs of steps that one block decides are taken in one
+        go: with a on the stack, b under it and a's block with its witness
+        against b, at a target t where a vertex lies above a and the
+        shortcut (a, t) holds decisively, the step pops that vertex; then it
+        asks (b, t), which the witness answers "no", or asks nothing if a is
+        the bottom; then it pushes t iff t clears the spacing test against a.
+        Without a vertex above a the step only asks (b, t).  So after each
+        such step the stack is [..., b, a] or [..., b, a, t].  a is the top
+        (a vertex above it was popped without a push) or the one under the
+        top; the vertex under a, which its blocks' witnesses are against,
+        stays fixed while a is on the stack.
+        """
+        V, blocks, n = self._V, self._blocks, len(self._V)
+        stack = [1]
+        i = 2
+        while i <= n:
+            block = blocks.get(stack[-1])
+            if block is not None:  # the top's block, from when it was the anchor
+                k = i - block.first
+                if 0 <= k < len(block.holds) and block.missed[k]:
+                    i += self._run(stack, block, k, False, min_gap_sq)
+                    continue
+            if len(stack) > 1:
+                j = stack[-2]
+                block = blocks.get(j)
+                if block is None or not 0 <= i - block.first < len(block.holds):
+                    block = self._block(j, i, block, stack[-3] if len(stack) > 2 else None)
+                if block is not None:
+                    k = i - block.first
+                    if block.holds[k] and block.missed[k]:
+                        i += self._run(stack, block, k, True, min_gap_sq)
+                        continue
+                    block.asked += 1
+                    if block.holds[k] or block.undecided[k] and self._exact(j, i):
+                        self.discard(stack.pop())
+                        while len(stack) > 1 and self.holds(stack[-2], i, stack[-3] if len(stack) > 2 else None):
+                            self.discard(stack.pop())
+            gap = V[i - 1] - V[stack[-1] - 1]
+            if float(np.dot(gap, gap)) >= min_gap_sq:
+                stack.append(i)
+            i += 1
+        return stack
+
+    def _run(self, stack: List[int], block: _Block, k: int, top: bool, min_gap_sq: float) -> int:
+        """``stack_loop``'s run from row k of the anchor's block on; ``top`` when a
+        vertex lies above the anchor."""
+        holds, missed, spaced = block.holds, block.missed, block.spaced
+        w = len(holds)
+        if spaced is None:
+            # the spacing test against the anchor for every row, bitwise np.dot's
+            V = self.P.vertices
+            gap = V[block.first - 1 : block.first - 1 + w] - V[stack[-1 - top] - 1]
+            spaced = block.spaced = (rowdot(gap, gap) >= min_gap_sq).tolist()
+        # the step at row e has a vertex above the anchor iff target first+e-1 was pushed
+        e = k + 1
+        while e < w and missed[e] and (holds[e] or not spaced[e - 1]):
+            e += 1
+        if top:
+            self.discard(stack.pop())
+        if spaced[e - 1]:
+            stack.append(block.first + e - 1)
+        # rows read: all of them where a witness answers below, else
+        # those of the steps that asked (anchor, t), with a vertex above it
+        block.asked += e - k if block.below is not None else top + sum(spaced[k : e - 1])
+        return e - k
+
+    def _refill(self, j: int, i: int, width: int, below) -> _Block:
+        V = self._V
         skipped = i - j - 2  # column of target i, one less than its skipped count
-        fit = (math.isqrt(skipped * skipped + 4 * BLOCK_ENTRIES) - skipped) // 2
-        w = max(min(width, fit, self.P.n - i + 1), 1)
-        balls = ball_intervals(V[j - 1], V[i - 1 : i - 1 + w, None], V[j : i + w - 2], self.delta)
+        cols = skipped + (below is not None)
+        fit = (math.isqrt(cols * cols + 4 * BLOCK_ENTRIES) - cols) // 2
+        w = max(min(width, fit, len(V) - i + 1), 1)
+        ends = V[i - 1 : i - 1 + w, None]
+        # a witness where the anchor below ran long (the witness rule)
+        witness = below is not None and j - below > self.FIRST_WIDTH // 2
+        if not witness:
+            balls = ball_intervals(V[j - 1], ends, V[j : i + w - 2], self.delta)
+            missed = [below is None] * w  # with no vertex below j, nothing to ask
+        else:
+            # the last column is the witness, P_j against the segments from
+            # P_below; no diagonal reaches it, and the sweep is cumulative
+            starts = np.empty((skipped + w + 1, V.shape[1]))
+            starts[:-1] = V[j - 1]
+            starts[-1] = V[below - 1]
+            centres = np.concatenate((V[j : i + w - 2], V[j - 1 : j]))
+            balls = ball_intervals(starts, ends, centres, self.delta)
+            missed = (balls.lo[:, -1] == np.inf).tolist()  # decisively empty
         holds, undecided = filtered_sweep(balls)
         # row k is target i+k, whose answer is at column k+skipped
-        return _Block(i, holds.diagonal(skipped).tolist(), undecided.diagonal(skipped).tolist())
+        block = _Block(i, below, holds.diagonal(skipped).tolist(), undecided.diagonal(skipped).tolist(), missed)
+        if witness:
+            self._above[below] = block
+        self._blocks[j] = block
+        return block
 
 
 def shortcut_holds(P: PolyCurve, j: int, i: int, delta: float) -> bool:
@@ -138,7 +299,8 @@ def simplify_curve(P: PolyCurve, delta: float) -> Simplification:
 
     While the next-to-top kept vertex j admits a shortcut to the incoming
     vertex i (distance decision at 2*delta), the top is popped; i is then
-    kept only if it clears the delta/3 spacing filter.
+    kept only if it clears the delta/3 spacing filter.  Runs of steps that
+    one block decides are taken at once (``ShortcutBlocks.stack_loop``).
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -147,15 +309,7 @@ def simplify_curve(P: PolyCurve, delta: float) -> Simplification:
         return _make_simplification(P, list(range(1, n + 1)))
     thresh = 2.0 * delta
     min_gap_sq = (delta / 3.0) ** 2
-    V = P.vertices
-    shortcuts = ShortcutBlocks(P, thresh)
-    stack: List[int] = [1]
-    for i in range(2, n + 1):
-        while len(stack) >= 2 and shortcuts.holds(stack[-2], i):
-            shortcuts.discard(stack.pop())
-        gap = V[i - 1] - V[stack[-1] - 1]
-        if float(np.dot(gap, gap)) >= min_gap_sq:
-            stack.append(i)
+    stack = ShortcutBlocks(P, thresh).stack_loop(min_gap_sq)
     return _make_simplification(P, stack)
 
 

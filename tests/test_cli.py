@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import subcover.cli as cli
@@ -121,6 +121,106 @@ def test_ingest_write_roundtrip(tmp_path):
     write_curve(P, out)
     Q = ingest(out)
     assert np.array_equal(P.vertices, Q.vertices)
+
+
+def _line_by_line(path):
+    """The points as iterating the file line by line reads them."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for raw in fh:
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                rows.append([float(x) for x in line.replace(",", " ").split()])
+    return np.asarray(rows, dtype=float)
+
+
+_NUMBER = st.one_of(
+    st.integers(-(10**6), 10**6).map(str),
+    st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+    st.tuples(st.integers(-999, 999), st.integers(-30, 30)).map(lambda t: f"{t[0]}e{t[1]:+d}"),
+    st.tuples(st.integers(0, 999), st.integers(0, 99)).map(lambda t: f"+{t[0]}.{t[1]:02d}E-2"),
+    st.sampled_from(["-0", "-0.0", ".5", "5.", "1_000"]),
+)
+
+
+@st.composite
+def _well_formed_files(draw):
+    d = draw(st.integers(1, 3))
+    lines = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["point", "point", "point", "comment", "blank"]))
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["#", "# x, y", "  # 1 2"])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+        else:
+            sep = draw(st.sampled_from([" ", ",", ", ", "\t", " , "]))
+            pad = draw(st.sampled_from(["", " ", "\t"]))
+            lines.append(pad + sep.join(draw(st.lists(_NUMBER, min_size=d, max_size=d))) + pad)
+    assume(any(ln.strip() and not ln.strip().startswith("#") for ln in lines))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.filter_too_much])
+@given(_well_formed_files())
+def test_ingest_fast_path_equals_the_line_path(tmp_path, text):
+    path = tmp_path / "w.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [raw.strip() for raw in fh.read().split("\n")]
+    linenos = [k for k, line in enumerate(lines, start=1) if line and not line.startswith("#")]
+    fields = [lines[k - 1].replace(",", " ").split() for k in linenos]
+    fast = cli._fields_array(fields)
+    assert fast is not None
+    expected = _line_by_line(str(path))
+    for pts in (fast, cli._lines_array(str(path), lines, linenos, fields)):
+        assert pts.shape == expected.shape
+        assert pts.tobytes() == expected.tobytes()
+    try:
+        P = ingest(str(path))
+    except ParseError as exc:  # consecutive points whose parameters collide
+        assert "arclength parameter" in str(exc)
+        return
+    keep = np.concatenate([[True], np.any(expected[1:] != expected[:-1], axis=1)])
+    assert P.vertices.tobytes() == expected[keep].tobytes()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0 0\n1 x\n", "2: non-numeric field in '1 x'"),
+        ("0 0\r\n1 0 0\r\n", "2: expected 2 columns, got 3"),
+        ("1 1\n2 x 3\n", "2: non-numeric field in '2 x 3'"),
+        ("0,0\n,\n1 1\n", "2: expected 2 columns, got 0"),
+        ("1e999 0\n", "1: non-finite field in '1e999 0'"),
+        ("0 0\r1 nan\r", "2: non-finite field in '1 nan'"),
+        # iterating a file splits lines only at newlines, not at \x1c
+        ("5 5\n0 0\x1c1 1\n", "2: expected 2 columns, got 4"),
+        ("# header\n\n  \n", " no points found"),
+    ],
+)
+def test_malformed_files_raise_the_line_paths_messages(tmp_path, text, message):
+    path = tmp_path / "m.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ParseError) as exc:
+        ingest(str(path))
+    assert str(exc.value) == f"{path}:{message}"
+
+
+def test_write_curve_formats_as_each_numpy_float_did(tmp_path):
+    rng = np.random.default_rng(7)
+    special = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e-310, 1e300, -1e300, 0.1, 1 / 3]
+    for d in (1, 2, 3):
+        for n in (1, 2, 17):
+            V = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-300, 300, size=(n, d))
+            V.flat[: len(special)] = special[: V.size]
+            P = curve_from_points(V)
+            out = tmp_path / "v.txt"
+            write_curve(P, str(out))
+            old = "".join(" ".join(f"{x:.17g}" for x in v) + "\n" for v in P.vertices)
+            assert out.read_bytes() == old.encode("utf-8")
 
 
 def test_run_segment_instance(tmp_path):

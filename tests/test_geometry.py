@@ -220,8 +220,9 @@ def test_filtered_sweep_stops_at_its_first_open_crossing():
     balls = BallIntervals(lo, hi, np.full(lo.shape, 0.01), tight)
     holds, undecided = filtered_sweep(balls)
     # holds; fails at the third (0.6 > 0.5); undecided at the second (0.505
-    # - 0.5 within 0.02), so the later decisive failure is not trusted;
-    # empty first interval; tight second interval
+    # - 0.5 within 0.02), and yet a decisive failure at the third (0.1 lies
+    # more than the slack below the reach 0.5, so below any reach within err
+    # of it); empty first interval; tight second interval
     assert holds.tolist() == [
         [True, True, True],
         [True, True, False],
@@ -229,8 +230,66 @@ def test_filtered_sweep_stops_at_its_first_open_crossing():
         [False, False, False],
         [True, False, False],
     ]
-    assert undecided[:, -1].tolist() == [False, False, True, False, True]
-    assert undecided[2].tolist() == [False, True, True]
+    assert undecided[:, -1].tolist() == [False, False, False, False, True]
+    assert undecided[2].tolist() == [False, True, False]
     # the same along the other axis
     T = BallIntervals(*(a.T for a in balls))
     assert [m.T.tolist() for m in filtered_sweep(T, axis=0)] == [holds.tolist(), undecided.tolist()]
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**-20, 2.0**10])
+@pytest.mark.parametrize(
+    "p, q, r",
+    [
+        ((0, 0), (2, 0), (1, 1)),  # a tangent line, touching at t = 1/2
+        ((0, 0), (1, 0), (-1, 0)),  # the ball touches the segment at t = 0
+        ((0, 0), (1, 0), (2, 0)),  # and at t = 1
+        ((0, 0, 0), (4, 4, 2), (2, 2, 1 + 3)),  # tangent in 3-D, radius 3
+    ],
+)
+def test_tight_entries_keep_ends_within_err_of_the_radical_ones(p, q, r, scale):
+    delta = (3.0 if len(p) == 3 else 1.0) * scale
+    if len(p) == 3:
+        q, r = (4, 4, 2), (2 - 1, 2 + 1 + 0.0, 1 + 0.0)  # |r - (2, 2, 1)| = sqrt(2)
+        delta = math.sqrt(2.0) * scale
+    p, q, r = (np.asarray(a, dtype=float) * scale for a in (p, q, r))
+    balls = ball_intervals(p, q, r, delta)
+    exact = ball_segment_radical(p, q, r, delta)
+    assert balls.tight
+    assert not exact.empty
+    assert np.isfinite(balls.lo) and np.isfinite(balls.hi)
+    assert abs(balls.lo - exact.lo.value()) <= balls.err
+    assert abs(balls.hi - exact.hi.value()) <= balls.err
+
+
+def test_a_tight_entry_below_the_reach_fails_decisively():
+    # the first ball holds the segment's end, [0.75, 1]; the second touches
+    # its start only, a tight [0, 0] far below that reach
+    p, q = np.array([0.0, 0.0]), np.array([4.0, 0.0])
+    balls = ball_intervals(p, q, np.array([[4.0, 0.0], [-1.0, 0.0]]), 1.0)
+    assert balls.tight.tolist() == [False, True]
+    holds, undecided = filtered_sweep(balls)
+    assert holds.tolist() == [True, False] and undecided.tolist() == [False, False]
+    # the same after an undecided crossing, and for a tight band below the reach
+    lo = np.array([[0.6, 0.5, 0.1], [0.6, 0.1, 0.3]])
+    hi = np.array([[0.9, 0.605, 0.2], [0.9, 0.2, 0.9]])
+    tight = np.array([[False, False, True], [False, True, False]])
+    holds, undecided = filtered_sweep(BallIntervals(lo, hi, np.full(lo.shape, 0.01), tight))
+    assert holds.tolist() == [[True, False, False], [True, False, False]]
+    assert undecided.tolist() == [[False, True, False], [False, False, False]]
+
+
+def test_a_degenerate_entry_never_decides():
+    # a segment of length zero: every entry is NaN and tight
+    p = np.array([1.0, 1.0])
+    balls = ball_intervals(p, p, np.array([[1.0, 1.5], [9.0, 9.0], [1.0, 1.0]]), 1.0)
+    assert np.isnan(balls.lo).all() and balls.tight.all()
+    holds, undecided = filtered_sweep(balls)
+    assert not holds.any() and undecided.all()
+    # nor does it make a later crossing fail, first or after a decided one
+    nan = math.nan
+    lo = np.array([[nan, 0.6, 0.1], [0.1, nan, 0.0]])
+    hi = np.array([[nan, 0.9, 0.2], [0.9, nan, 0.05]])
+    tight = np.isnan(lo)
+    holds, undecided = filtered_sweep(BallIntervals(lo, hi, np.full(lo.shape, 0.01), tight))
+    assert not holds[:, 1:].any() and undecided[:, 1:].all()

@@ -202,6 +202,76 @@ def test_small_blocks_keep_the_exact_indices_and_the_entry_cap(route):
     assert all(rows * cols <= cap or rows == 1 for rows, cols in shapes), shapes
 
 
+def _lapped_polygon(rng, n, corners, laps, noise):
+    t = np.linspace(0.0, float(len(corners) * laps), n, endpoint=False)
+    side = np.floor(t).astype(int) % len(corners)
+    f = (t - np.floor(t))[:, None]
+    pts = (1.0 - f) * corners[side] + f * corners[(side + 1) % len(corners)]
+    return pts + rng.normal(0.0, noise, size=pts.shape)
+
+
+def _long_routes():
+    """(name, curve, delta): noisy lapped polygons up to n = 200, dense
+    clouds and straight lines, in 2-D and 3-D."""
+    rng = np.random.default_rng(2204)
+    triangle = np.array([[0.0, 0.0], [30.0, 0.0], [15.0, 26.0]])
+    square = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]])
+    skew = np.array([[0.0, 0.0, 0.0], [8.0, 1.0, 2.0], [3.0, 9.0, -1.0]])
+    routes = [
+        ("triangle", _lapped_polygon(rng, 120, triangle, 2, 0.4), 0.5),
+        ("square", _lapped_polygon(rng, 200, square, 4, 0.3), 0.5),
+        ("square-clean", _lapped_polygon(rng, 160, square, 2, 0.0), 0.5),
+        ("skew-3d", _lapped_polygon(rng, 150, skew, 3, 0.2), 0.25),
+        ("cloud", rng.normal(size=(200, 2)), 2.0),
+        ("cloud-3d", rng.normal(size=(150, 3)), 0.7),
+        ("walk", np.cumsum(rng.normal(size=(200, 2)), axis=0), 0.5),
+        ("line", np.linspace(0.0, 1.0, 200)[:, None] * np.array([[30.0, 10.0]]), 0.5),
+        ("line-jitter", np.linspace(0.0, 40.0, 180)[:, None] * np.array([[1.0, 0.0, 1.0]])
+         + rng.normal(0.0, 0.05, size=(180, 3)), 0.5),
+    ]
+    return [pytest.param(PolyCurve(pts), delta, id=name) for name, pts, delta in routes]
+
+
+@pytest.mark.parametrize("P, delta", _long_routes())
+def test_simplify_keeps_the_exact_indices_on_long_routes(P, delta):
+    assert simplify_curve(P, delta).indices == _exact_simplify(P, delta)
+
+
+def test_simplify_makes_about_one_kernel_call_per_kept_vertex():
+    rng = np.random.default_rng(5)
+    triangle = np.array([[0.0, 0.0], [30.0, 0.0], [15.0, 26.0]])
+    P = PolyCurve(_lapped_polygon(rng, 120, triangle, 2, 0.15))
+    calls = []
+    kernel = simplify_module.ball_intervals
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplify_module, "ball_intervals", counted)
+        indices = simplify_curve(P, 0.5).indices
+    assert indices == _exact_simplify(P, 0.5)
+    assert len(calls) <= len(indices) + 2, (len(calls), len(indices))
+
+
+@PROPERTY
+@given(scenes(max_n=9), st.data())
+def test_shortcut_blocks_with_witnesses_answer_queries_in_any_order(scene, data):
+    # each query names a random vertex below its anchor, so blocks carry
+    # witness columns, and later queries of that vertex read them
+    P, delta, _ = scene
+    thresh = 2.0 * delta
+    pairs = [(j, i) for i in range(2, P.n + 1) for j in range(1, i)]
+    blocks = ShortcutBlocks(P, thresh)
+    for j, i in data.draw(st.permutations(pairs + pairs)):
+        below = data.draw(st.one_of(st.none(), st.integers(1, j - 1))) if j > 1 else None
+        a = EdgePoint(j, 0.0)
+        b = EdgePoint(i, 0.0) if i < P.n else EdgePoint(P.n - 1, 1.0)
+        exact = decide_frechet_subcurve_segment(P, a, b, Segment(P.vertex(j), P.vertex(i)), thresh)
+        assert blocks.holds(j, i, below) == exact, (j, i, below)
+
+
 def _union(ivs):
     return [(iv.lo, iv.hi) for iv in merge_intervals(ivs, slack=1e-9)]
 
