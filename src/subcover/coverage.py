@@ -18,8 +18,10 @@ from .freespace import (
     FreeSpaceRow,
     _coverage_interval_on_row,
     _end_lower,
+    _slice_endpoint,
     _start_upper,
     _window_contains,
+    free_space_rows,
     psi_ij_contains,
 )
 from .geometry import (
@@ -31,9 +33,7 @@ from .geometry import (
     RadInterval,
     Segment,
     ball_intervals,
-    ball_segment_dots,
     ball_segment_radical,
-    ball_segment_radical_from_dots,
     filtered_nonneg,
     filtered_sweep,
     capsule_segment_radical,
@@ -237,27 +237,6 @@ class FeasibleRectSet:
         return float(best)
 
 
-def _cell_x_at_height(
-    S: PolyCurve, cell: int, point: np.ndarray, delta: float, leftmost: bool
-) -> Radical:
-    """Global curve parameter of the extreme free point of a cell at one height.
-
-    The height is given by the segment point realizing it.  At a tangency
-    the ball interval can round to empty; the projection of the point onto
-    the cell's edge is the exact limit then.
-    """
-    edge = S.edge(cell)
-    iv = ball_segment_radical(edge.start, edge.end, point, delta)
-    if not iv.empty:
-        local = iv.lo if leftmost else iv.hi
-    else:
-        v = edge.direction()
-        vv = float(np.dot(v, v))
-        u = 0.0 if vv == 0.0 else float(np.dot(point - edge.start, v)) / vv
-        local = Radical.exact(min(max(u, 0.0), 1.0))
-    return local.affine(S.edge_width(cell), S.param(cell))
-
-
 def _window_rect(
     S: PolyCurve,
     row: FreeSpaceRow,
@@ -273,10 +252,8 @@ def _window_rect(
 
     Built from the vertical free-space intervals at internal vertices, the
     free interval at the query point, and the extreme points of the first
-    and last cell of the window.
+    and last cell of the window; t_slice is nonempty.
     """
-    if t_slice.empty:
-        return None
     verts = []
     for v in range(i + 1, j):
         iv = row.vertical(v)
@@ -301,12 +278,14 @@ def _window_rect(
 
     # lowest point of the first cell: y = cap_i.lo, leftmost x at that height
     a_l = cap_i.lo
-    a_i_glob = _cell_x_at_height(S, i, e.at(a_l.value()), delta, leftmost=True)
+    a_i = _slice_endpoint(S.edge(i), e.at(a_l.value()), delta, True)
+    a_i_glob = a_i.affine(S.edge_width(i), S.param(i))
     alpha1 = t_slice.lo if tau_rad.le(a_i_glob) else a_l
 
     # highest point of the last cell: y = cap_j.hi, rightmost x at that height
     b_u = cap_j.hi
-    b_j_glob = _cell_x_at_height(S, j - 1, e.at(b_u.value()), delta, leftmost=False)
+    b_j = _slice_endpoint(S.edge(j - 1), e.at(b_u.value()), delta, False)
+    b_j_glob = b_j.affine(S.edge_width(j - 1), S.param(j - 1))
     beta2 = t_slice.hi if b_j_glob.le(tau_rad) else b_u
 
     alpha2 = rad_min(*[iv.hi for iv in verts], t_slice.hi)
@@ -326,24 +305,25 @@ def feasible_rectangles(S: PolyCurve, t: EdgePoint, edge: int, delta: float) -> 
     if not 1 <= edge <= S.num_edges:
         raise IndexError("edge index out of range")
     e = S.edge(edge)
-    e_rev = e.reversed()
+    segs = (e, e.reversed())
     tau = S.edge_point_param(t)
     pt = S.edge_point_coords(t)
+    slices = [ball_segment_radical(seg.start, seg.end, pt, delta) for seg in segs]
+    live = [k for k in (0, 1) if not slices[k].empty]
+    # the rows span the vertices window_set's windows read
+    ip = t.edge_index
+    lo, hi = max(ip - MAX_WINDOW_EDGES + 1, 1), min(ip + MAX_WINDOW_EDGES, S.n)
+    ends = np.array([e.end, e.start])
+    rows = free_space_rows(S, lo, S.vertices[lo - 1 : hi], ends[::-1], ends, delta, live)
     rects: List[Tuple[float, float, float, float]] = []
-    from .freespace import _t_in_window
-
-    for orient, seg in (("fwd", e), ("rev", e_rev)):
-        row = FreeSpaceRow(S, 1, S.n, seg, delta)
-        t_slice = ball_segment_radical(seg.start, seg.end, pt, delta)
+    for k in live:
         cap_cache: dict = {}
         for (i, j) in window_set(S, t):
-            if not _t_in_window(t, i, j):  # pragma: no cover - windows are valid by construction
-                continue
-            rect = _window_rect(S, row, cap_cache, t_slice, tau, i, j, seg, delta)
+            rect = _window_rect(S, rows[k], cap_cache, slices[k], tau, i, j, segs[k], delta)
             if rect is None:
                 continue
             a1, a2, b1, b2 = rect
-            if orient == "rev":
+            if k:  # the reversed edge
                 a1, a2 = a2.reflect(), a1.reflect()
                 b1, b2 = b2.reflect(), b1.reflect()
             quad = (a1.value(), a2.value(), b1.value(), b2.value())
@@ -363,12 +343,10 @@ def feasible_rectangles(S: PolyCurve, t: EdgePoint, edge: int, delta: float) -> 
 # dead and some decision is undecided.  Ties are common, not rare: candidate
 # endpoints are extremal points of the same radius, so their balls often
 # touch a cell at a single point.  Unsure windows run the scalar window
-# tests (``_coverage_interval_on_row``, ``_window_contains``) on ``_DotRow``s:
-# the exact bottoms, tops and verticals of the candidates they read, from one
-# batched table of dot products per call, each made a radical interval by
-# ``ball_segment_radical_from_dots`` when a window first reads it.  That is
-# what a ``FreeSpaceRow`` computes, bit for bit, so the result is the scalar
-# one.
+# tests (``_coverage_interval_on_row``, ``_window_contains``) on the
+# ``FreeSpaceRow``s of the candidates they read, built by one
+# ``free_space_rows`` call per fill block or mask: the same class running
+# the same code as the scalar operations, so the result is the scalar one.
 #
 # The window table.  One kernel call gives the bottoms and tops of every
 # (edge, candidate) cell, with the starts and then the ends as centres, and
@@ -394,52 +372,6 @@ def feasible_rectangles(S: PolyCurve, t: EdgePoint, edge: int, delta: float) -> 
 # outside every one of them by more than the band, and sends the rest, as a
 # subset, to ``batch_feasible_mask``.  The merged intervals are not stabbed:
 # a float merge can close an exact gap between two windows that touch at t.
-
-
-class _DotRow:
-    """A candidate's exact free-space row, read as the scalar window tests
-    read a ``FreeSpaceRow``, with each interval from the candidate's column of
-    a batched dot table (``_dot_rows``)."""
-
-    __slots__ = ("curve", "delta", "dots", "first", "ne", "ivs")
-
-    def __init__(self, curve: PolyCurve, delta: float, dots: tuple, first: int, ne: int):
-        self.curve, self.delta, self.dots, self.first, self.ne = curve, delta, dots, first, ne
-        self.ivs = {}
-
-    def _interval(self, k: int) -> RadInterval:
-        iv = self.ivs.get(k)
-        if iv is None:
-            aa, vw, ww = self.dots
-            iv = self.ivs[k] = ball_segment_radical_from_dots(aa[k], vw[k], ww[k], self.delta)
-        return iv
-
-    def bottom(self, cell: int) -> RadInterval:
-        return self._interval(cell - self.first)
-
-    def top(self, cell: int) -> RadInterval:
-        return self._interval(self.ne + cell - self.first)
-
-    def vertical(self, vertex: int) -> RadInterval:
-        return self._interval(2 * self.ne + vertex - self.first - 1)
-
-
-def _dot_rows(S: PolyCurve, first: int, V: np.ndarray, starts, ends, delta: float, ks) -> dict:
-    """``_DotRow`` of each candidate in ks on the cells of the vertices V, a
-    run of S's vertices whose first edge is ``first``: the dot products of
-    every bottom, top and inner vertical, in one ``ball_segment_dots`` call."""
-    ks = sorted(set(ks.tolist()))
-    if not ks:
-        return {}
-    ne = V.shape[0] - 1
-    s, t = starts[ks], ends[ks]
-    p, q, r = np.empty((3, 2 * ne + V.shape[0] - 2, len(ks), V.shape[1]))
-    p[:ne] = p[ne : 2 * ne] = V[:-1, None]
-    q[:ne] = q[ne : 2 * ne] = V[1:, None]
-    r[:ne], r[ne : 2 * ne] = s, t
-    p[2 * ne :], q[2 * ne :], r[2 * ne :] = s, t, V[1:-1, None]
-    aa, vw, ww = (x.T.tolist() for x in ball_segment_dots(p, q, r))
-    return {k: _DotRow(S, delta, (aa[c], vw[c], ww[c]), first, ne) for c, k in enumerate(ks)}
 
 
 def _cell_balls(V: np.ndarray, starts: np.ndarray, ends: np.ndarray, delta: float):
@@ -519,7 +451,7 @@ def _coverage_block(
     unsure[0] |= holds[0] & m_unsure
     holds[0] &= m_holds
     held, unsure = np.argwhere(holds), np.argwhere(unsure)
-    rows = _dot_rows(S, 1, S.vertices, starts, ends, delta, unsure[:, 2])
+    rows = free_space_rows(S, 1, S.vertices, starts, ends, delta, unsure[:, 2])
     # the scalar path
     ivs = [_coverage_interval_on_row(rows[k], i + 1, i + L + 1) for L, i, k in unsure.tolist()]
     L, i, k = np.concatenate([held, unsure]).T
@@ -558,7 +490,7 @@ def batch_feasible_mask(
     # the scalar path, in window_set's order; window (L, i) runs from edge
     # lo + i to edge lo + i + L
     unsure = np.argwhere(unsure)
-    rows = _dot_rows(S, lo, V, starts, ends, delta, k[unsure[:, 2]])
+    rows = free_space_rows(S, lo, V, starts, ends, delta, k[unsure[:, 2]])
     for i, L, c in sorted((i, L, k[c]) for L, i, c in unsure.tolist()):
         if not feas[c]:
             feas[c] = _window_contains(rows[c], lo + i, lo + i + L + 1, t)

@@ -6,12 +6,18 @@ parameter.  Within a cell the set of pairs at distance <= delta is convex,
 so every reachability question reduces to interval checks on cell
 boundaries.  Boundary endpoints are quadratic roots; they are kept in
 a+sqrt(b) form and ordered with the exact radical predicates.
+
+``FreeSpaceRow`` is the one exact row, read by every scalar operation here
+and by the exact fallbacks of the batched fill and mask.  Its dots come
+from one table (``free_space_rows``: one for many segments), and each
+interval is made from them when first read: bit for bit the per-cell
+``ball_segment_radical``, since ``geometry.rowdot`` equals ``np.dot``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -21,7 +27,9 @@ from .geometry import (
     PolyCurve,
     RadInterval,
     Segment,
+    ball_segment_dots,
     ball_segment_radical,
+    ball_segment_radical_from_dots,
     capsule_segment_radical,
 )
 from .radicals import ONE, ZERO, Radical, rad_max, rad_min
@@ -30,67 +38,81 @@ from .radicals import ONE, ZERO, Radical, rad_max, rad_min
 class FreeSpaceRow:
     """Boundary intervals of the delta free space of P[t_lo, t_hi] versus seg.
 
-    Cells are indexed by curve edge (1-based, edges lo_vertex..hi_vertex-1).
-    Horizontal intervals live in edge-local curve parameters, vertical
-    intervals in the segment parameter.
+    Cells are indexed by curve edge (1-based, edges lo_vertex..hi_vertex-1),
+    verticals by curve vertex (lo_vertex..hi_vertex); a read outside them
+    raises ``IndexError``.  Horizontal intervals live in edge-local curve
+    parameters, vertical intervals in the segment parameter.  The dots of
+    all of them come from one ``ball_segment_dots`` call.
     """
 
-    __slots__ = (
-        "curve",
-        "lo_vertex",
-        "hi_vertex",
-        "seg",
-        "delta",
-        "_bottoms",
-        "_tops",
-        "_verts",
-    )
+    __slots__ = ("curve", "lo_vertex", "hi_vertex", "delta", "_dots", "_ivs")
 
-    def __init__(
-        self,
-        curve: PolyCurve,
-        lo_vertex: int,
-        hi_vertex: int,
-        seg: Segment,
-        delta: float,
-    ):
+    def __init__(self, curve: PolyCurve, lo_vertex: int, hi_vertex: int, seg: Segment, delta: float):
         if not (1 <= lo_vertex < hi_vertex <= curve.n):
             raise IndexError("vertex range out of bounds")
-        self.curve = curve
-        self.lo_vertex = lo_vertex
-        self.hi_vertex = hi_vertex
-        self.seg = seg
-        self.delta = float(delta)
-        self._bottoms = {}
-        self._tops = {}
-        self._verts = {}
+        if delta < 0:
+            raise ValueError("delta must be nonnegative")
+        (dots,) = _row_dots(curve.vertices[lo_vertex - 1 : hi_vertex], seg.start[None], seg.end[None])
+        self._bind(curve, lo_vertex, delta, dots)
+
+    def _bind(self, curve: PolyCurve, lo_vertex: int, delta: float, dots) -> None:
+        self.curve, self.lo_vertex, self.delta, self._dots = curve, lo_vertex, float(delta), dots
+        self.hi_vertex = lo_vertex + (len(dots[0]) - 1) // 3
+        self._ivs = [None] * len(dots[0])
+
+    def _read(self, x: int, part: int) -> RadInterval:
+        """Interval x of the bottoms (part 0), tops (1) or verticals (2)."""
+        ne = self.hi_vertex - self.lo_vertex
+        k = x - self.lo_vertex
+        if not 0 <= k < ne + (part == 2):
+            raise IndexError("read outside the row")
+        k += part * ne
+        iv = self._ivs[k]
+        if iv is None:
+            aa, vw, ww = self._dots
+            iv = self._ivs[k] = ball_segment_radical_from_dots(aa[k], vw[k], ww[k], self.delta)
+        return iv
 
     def bottom(self, cell: int) -> RadInterval:
         """Curve-edge parameters of cell within delta of the segment start."""
-        iv = self._bottoms.get(cell)
-        if iv is None:
-            e = self.curve.edge(cell)
-            iv = ball_segment_radical(e.start, e.end, self.seg.start, self.delta)
-            self._bottoms[cell] = iv
-        return iv
+        return self._read(cell, 0)
 
     def top(self, cell: int) -> RadInterval:
         """Curve-edge parameters of cell within delta of the segment end."""
-        iv = self._tops.get(cell)
-        if iv is None:
-            e = self.curve.edge(cell)
-            iv = ball_segment_radical(e.start, e.end, self.seg.end, self.delta)
-            self._tops[cell] = iv
-        return iv
+        return self._read(cell, 1)
 
     def vertical(self, vertex: int) -> RadInterval:
         """Segment parameters within delta of a curve vertex."""
-        iv = self._verts.get(vertex)
-        if iv is None:
-            v = self.curve.vertex(vertex)
-            iv = ball_segment_radical(self.seg.start, self.seg.end, v, self.delta)
-            self._verts[vertex] = iv
-        return iv
+        return self._read(vertex, 2)
+
+
+def _row_dots(V: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """Per segment (starts[k] to ends[k]), the dots (aa, vw, ww) of its row on
+    the vertices V, as lists: the bottoms of V's edges, their tops, then the
+    verticals at V's vertices.  One ``ball_segment_dots`` call for all."""
+    ne = V.shape[0] - 1
+    p, q, r = np.empty((3, 3 * ne + 1, starts.shape[0], V.shape[1]))
+    p[:ne] = p[ne : 2 * ne] = V[:-1, None]
+    q[:ne] = q[ne : 2 * ne] = V[1:, None]
+    r[:ne], r[ne : 2 * ne] = starts, ends
+    p[2 * ne :], q[2 * ne :], r[2 * ne :] = starts, ends, V[:, None]
+    return zip(*(x.T.tolist() for x in ball_segment_dots(p, q, r)))
+
+
+def free_space_rows(
+    P: PolyCurve, first: int, V: np.ndarray, starts: np.ndarray, ends: np.ndarray, delta: float, ks
+) -> Dict[int, FreeSpaceRow]:
+    """The ``FreeSpaceRow`` of each segment k in ks (starts[k] to ends[k]) on
+    the cells of V, the run of P's vertices from vertex ``first``, from one
+    table of dot products."""
+    ks = sorted(set(np.asarray(ks).tolist()))
+    if not ks:
+        return {}
+    rows = {}
+    for k, dots in zip(ks, _row_dots(V, starts[ks], ends[ks])):
+        rows[k] = FreeSpaceRow.__new__(FreeSpaceRow)
+        rows[k]._bind(P, first, delta, dots)
+    return rows
 
 
 def _dist_sq(p: np.ndarray, q: np.ndarray) -> float:
@@ -216,18 +238,14 @@ def _coverage_interval_on_row(row: FreeSpaceRow, i: int, j: int) -> Interval:
     return Interval(lo, hi)
 
 
-def _slice_endpoint(
-    seg: Segment, point: np.ndarray, delta: float, want_lo: bool, iv: Optional[RadInterval] = None
-) -> Radical:
+def _slice_endpoint(seg: Segment, point: np.ndarray, delta: float, want_lo: bool) -> Radical:
     """Endpoint of the free interval of seg against a point near distance delta.
 
-    ``iv`` is that interval when the caller already has it.  At a tangency
-    the quadratic's discriminant can round to a hair below zero; the
-    projection parameter of the point onto the segment is the exact limit
-    there.
+    At a tangency the quadratic's discriminant can round to a hair below
+    zero; the projection parameter of the point onto the segment is the
+    exact limit there.
     """
-    if iv is None:
-        iv = ball_segment_radical(seg.start, seg.end, point, delta)
+    iv = ball_segment_radical(seg.start, seg.end, point, delta)
     if not iv.empty:
         return iv.lo if want_lo else iv.hi
     v = seg.end - seg.start

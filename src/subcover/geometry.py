@@ -130,9 +130,6 @@ class Segment:
     def reversed(self) -> "Segment":
         return Segment(self.end, self.start)
 
-    def subsegment(self, a: float, b: float) -> "Segment":
-        return Segment(self.at(a), self.at(b))
-
 
 @dataclass(frozen=True)
 class EdgePoint:
@@ -205,11 +202,6 @@ class PolyCurve:
 
     def edge_width(self, i: int) -> float:
         return float(self.vertex_params[i] - self.vertex_params[i - 1])
-
-    def arclength(self) -> float:
-        if self.n < 2:
-            return 0.0
-        return float(np.sum(np.linalg.norm(np.diff(self.vertices, axis=0), axis=1)))
 
     # -- parametrization --
 
@@ -324,14 +316,7 @@ def ball_segment_radical_from_dots(aa: float, vw: float, ww: float, delta: float
     if 4.0 * aa * aa == 0.0:  # a point, or a segment so short that aa^2 underflows
         inside = ww <= delta * delta
         return RadInterval(ZERO, ONE) if inside else RadInterval.make_empty()
-    bb = 2.0 * vw
-    cc = ww - delta * delta
-    disc = bb * bb - 4.0 * aa * cc
-    if disc < 0.0:
-        return RadInterval.make_empty()
-    mid = -bb / (2.0 * aa)
-    rad = disc / (4.0 * aa * aa)
-    return RadInterval(Radical(mid, rad, -1), Radical(mid, rad, 1)).clamp01()
+    return _quadratic_sublevel(aa, 2.0 * vw, ww - delta * delta).clamp01()
 
 
 def ball_segment_radical(p: np.ndarray, q: np.ndarray, r: np.ndarray, delta: float) -> RadInterval:

@@ -78,7 +78,6 @@ class SolverConfig:
     max_k: int = 2**20
     variant: str = "explicit"  # ignored: the function called picks the weighting
     k_prime_override: Optional[int] = None
-    check_invariants: bool = True
     workers: int = 1  # ignored: the coverage fill runs in one thread
 
     def resolve_gamma(self, d: int) -> int:
@@ -184,8 +183,8 @@ class ExplicitDist:
 
 
 def weight_update(dist: ExplicitDist, F: Sequence[int]) -> ExplicitDist:
-    """Double the weight of every candidate in F (a set, no multiplicity)."""
-    idx = np.asarray(sorted(set(F)), dtype=int)
+    """Double the weight of every candidate in F; a repeated index counts once."""
+    idx = np.unique(np.asarray(F, dtype=np.intp))
     w = dist.weights.copy()
     if idx.size:
         w[idx] *= 2.0
@@ -326,7 +325,6 @@ def k_approx_cover(
     *,
     cache: Optional[_CoverageCache] = None,
     stats: Optional[_LoopStats] = None,
-    check_invariants: bool = True,
 ) -> Optional[CoverResult]:
     """Sampling loop for one target size; None when i_max updates were spent.
 
@@ -370,11 +368,10 @@ def k_approx_cover(
             updates += 1
             stats.proper += 1
             stats.feasible_mass.append(mass)
-            if check_invariants:
-                # each light update multiplies total weight by at most 1 + 1/r
-                bound = updates * math.log2(1.0 + 1.0 / r)
-                if weighting.log2_total() > log2_initial_total + bound + 1e-6:
-                    raise RuntimeError("weight growth bound violated")
+            # each light update multiplies total weight by at most 1 + 1/r
+            bound = updates * math.log2(1.0 + 1.0 / r)
+            if weighting.log2_total() > log2_initial_total + bound + 1e-6:
+                raise RuntimeError("weight growth bound violated")
     return None
 
 
@@ -431,7 +428,6 @@ def doubling_search(
             rng,
             cache=cache,
             stats=stats,
-            check_invariants=cfg.check_invariants,
         )
         if result is not None:
             result.k_found = k

@@ -1,9 +1,10 @@
 """Property tests: the filtered float paths against the radical-exact contract,
 the per-curve candidate tables against one extremal_points call per
 subcurve, and the array paths against the scalar code they replace, bit for
-bit: batched dot products, the predicates' float steps, the candidate
-tables entry by entry and the radical forms of each subcurve's (s, t), the
-candidate dedup, the coverage fill and ``oracle.full_coverage``.  On
+bit: batched dot products, the predicates' float steps, free-space rows,
+the candidate tables entry by entry and the radical forms of each
+subcurve's (s, t), the candidate dedup, the coverage fill, feasible
+rectangles and ``oracle.full_coverage``.  On
 snapped scenes the scalar fallbacks behind the candidate tables and the fill
 are counted, so that they are seen to run.
 
@@ -35,16 +36,19 @@ from subcover.coverage import (
     batch_candidate_coverage,
     batch_feasible_mask,
     candidate_coverage_intervals,
+    feasible_rectangles,
     is_feasible,
     merge_intervals,
     point_not_covered_from_intervals,
     WindowTable,
 )
+import subcover.freespace as freespace_module
 from subcover.freespace import (
     FreeSpaceRow,
     _coverage_interval_on_row,
     decide_frechet_subcurve_segment,
     extremal_points,
+    free_space_rows,
 )
 from subcover.geometry import (
     BallIntervals,
@@ -634,6 +638,121 @@ def test_predicates_from_table_dots_equal_scalar_predicates(scene, factor):
         assert _table_key(tables.slices, k) == _rad_key(want), k
 
 
+@PROPERTY
+@given(scenes(max_n=8, max_points=2), radius_factor, st.data())
+def test_free_space_rows_equal_ball_segment_radical(scene, factor, data):
+    # every bottom, top and vertical of a row against the per-cell predicate,
+    # on rows that need not start at vertex 1, with a degenerate edge put in
+    # at random and a point segment among the segments
+    S, delta, extra = scene
+    radius = factor * delta
+    dup = data.draw(st.integers(0, S.n))
+    if dup < S.n:
+        S = PolyCurve(np.insert(S.vertices, dup, S.vertices[dup], axis=0))
+    lo = data.draw(st.integers(1, S.n - 1))
+    hi = data.draw(st.integers(lo + 1, S.n))
+    segs = [Segment(extra[0], extra[1]), Segment(extra[0], extra[0]), S.edge(lo), S.edge(hi - 1)]
+    starts = np.array([q.start for q in segs])
+    ends = np.array([q.end for q in segs])
+    ks = data.draw(st.lists(st.integers(0, len(segs) - 1), max_size=6))
+    rows = free_space_rows(S, lo, S.vertices[lo - 1 : hi], starts, ends, radius, np.array(ks, dtype=int))
+    assert sorted(rows) == sorted(set(ks))
+    for k, q in enumerate(segs):
+        def want(p0, p1, r):
+            return _rad_key(ball_segment_radical(p0, p1, r, radius))
+
+        checked = [FreeSpaceRow(S, lo, hi, q, radius)]
+        if k in rows:
+            checked.append(rows[k])
+        for row in checked:
+            for c in range(lo, hi):
+                assert _rad_key(row.bottom(c)) == want(S.vertex(c), S.vertex(c + 1), q.start)
+                assert _rad_key(row.top(c)) == want(S.vertex(c), S.vertex(c + 1), q.end)
+            for v in range(lo, hi + 1):
+                assert _rad_key(row.vertical(v)) == want(q.start, q.end, S.vertex(v))
+            for read, outside in ((row.bottom, (lo - 1, hi)), (row.top, (lo - 1, hi)),
+                                  (row.vertical, (lo - 1, hi + 1))):
+                for x in outside:
+                    with pytest.raises(IndexError):
+                        read(x)
+
+
+def _cell_x_at_height(S, cell, point, delta, leftmost):
+    """Global curve parameter of the extreme free point of a cell at one height."""
+    edge = S.edge(cell)
+    iv = ball_segment_radical(edge.start, edge.end, point, delta)
+    if not iv.empty:
+        local = iv.lo if leftmost else iv.hi
+    else:
+        v = edge.direction()
+        vv = float(np.dot(v, v))
+        u = 0.0 if vv == 0.0 else float(np.dot(point - edge.start, v)) / vv
+        local = Radical.exact(min(max(u, 0.0), 1.0))
+    return local.affine(S.edge_width(cell), S.param(cell))
+
+
+def reference_window_rect(S, row, t_slice, tau, i, j, e, delta):
+    """``coverage._window_rect`` with each cell's extreme free point at a
+    height computed on its own, not by ``freespace._slice_endpoint``."""
+    if t_slice.empty:
+        return None
+    verts = [row.vertical(v) for v in range(i + 1, j)]
+    if any(iv.empty for iv in verts) or (j - i == 3 and not verts[0].lo.le(verts[1].hi)):
+        return None
+    cap_i = capsule_segment_radical(S.edge(i), e, delta)
+    cap_j = capsule_segment_radical(S.edge(j - 1), e, delta)
+    if cap_i.empty or cap_j.empty:
+        return None
+    tau_rad = Radical.exact(tau)
+    a_i_glob = _cell_x_at_height(S, i, e.at(cap_i.lo.value()), delta, leftmost=True)
+    alpha1 = t_slice.lo if tau_rad.le(a_i_glob) else cap_i.lo
+    b_j_glob = _cell_x_at_height(S, j - 1, e.at(cap_j.hi.value()), delta, leftmost=False)
+    beta2 = t_slice.hi if b_j_glob.le(tau_rad) else cap_j.hi
+    alpha2 = rad_min(*[iv.hi for iv in verts], t_slice.hi)
+    beta1 = rad_max(*[iv.lo for iv in verts], t_slice.lo)
+    if not alpha1.le(alpha2) or not beta1.le(beta2):
+        return None
+    return (alpha1, alpha2, beta1, beta2)
+
+
+def reference_feasible_rectangles(S, t, edge, delta):
+    """``feasible_rectangles`` on two rows over the whole curve."""
+    e = S.edge(edge)
+    tau = S.edge_point_param(t)
+    pt = S.edge_point_coords(t)
+    rects = []
+    for orient, seg in (("fwd", e), ("rev", e.reversed())):
+        row = FreeSpaceRow(S, 1, S.n, seg, delta)
+        t_slice = ball_segment_radical(seg.start, seg.end, pt, delta)
+        for (i, j) in coverage_module.window_set(S, t):
+            rect = reference_window_rect(S, row, t_slice, tau, i, j, seg, delta)
+            if rect is None:
+                continue
+            a1, a2, b1, b2 = rect
+            if orient == "rev":
+                a1, a2 = a2.reflect(), a1.reflect()
+                b1, b2 = b2.reflect(), b1.reflect()
+            quad = (a1.value(), a2.value(), b1.value(), b2.value())
+            if quad not in rects:
+                rects.append(quad)
+    return tuple(rects)
+
+
+@settings(PROPERTY, max_examples=30)
+@given(scenes(max_n=9), radius_factor, st.floats(0.0, 1.0))
+def test_feasible_rectangles_equal_the_whole_curve_reference(scene, factor, local):
+    # witnesses at both ends and inside every edge, so on the first three and
+    # the last four edges too, against every edge
+    S, delta, _ = scene
+    radius = 2.0 * factor * delta
+    for ip in range(1, S.n):
+        for u in (0.0, local, 1.0):
+            t = EdgePoint(ip, u)
+            for edge in range(1, S.n):
+                got = feasible_rectangles(S, t, edge, radius)
+                assert got.rects == reference_feasible_rectangles(S, t, edge, radius), (ip, u, edge)
+
+
 def _table_key(table, k):
     """``_rad_key`` of entry k of a ``candidates.RadIntervals`` table."""
     if not table.ok[k]:
@@ -723,8 +842,8 @@ def test_fill_fallback_runs_on_lattice_scenes_and_equals_the_reference():
         starts, ends = candidate_segments(S, candidate_set(S, delta))
         with pytest.MonkeyPatch.context() as mp:
             name = "ball_segment_radical_from_dots"
-            counted = _counting(calls, name, getattr(coverage_module, name))
-            mp.setattr(coverage_module, name, counted)
+            counted = _counting(calls, name, getattr(freespace_module, name))
+            mp.setattr(freespace_module, name, counted)
             _assert_fill_equals_reference(S, starts, ends, 8.0 * delta, None)
 
     check()

@@ -69,6 +69,9 @@ def test_weight_update_examples():
     assert d2.weights.tolist() == [1.0, 2.0]
     d3 = weight_update(weight_update(d0, [1]), [1])
     assert d3.weights.tolist() == [1.0, 4.0]
+    # a repeated index counts once, and F may be an index array
+    assert weight_update(d0, [1, 0, 1]).weights.tolist() == [2.0, 2.0]
+    assert weight_update(d0, np.array([1, 1])).weights.tolist() == [1.0, 2.0]
 
 
 def test_weight_update_renormalizes_instead_of_overflowing():
