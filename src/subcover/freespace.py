@@ -50,12 +50,12 @@ class FreeSpaceRow:
     def __init__(self, curve: PolyCurve, lo_vertex: int, hi_vertex: int, seg: Segment, delta: float):
         if not (1 <= lo_vertex < hi_vertex <= curve.n):
             raise IndexError("vertex range out of bounds")
-        if delta < 0:
-            raise ValueError("delta must be nonnegative")
         (dots,) = _row_dots(curve.vertices[lo_vertex - 1 : hi_vertex], seg.start[None], seg.end[None])
         self._bind(curve, lo_vertex, delta, dots)
 
     def _bind(self, curve: PolyCurve, lo_vertex: int, delta: float, dots) -> None:
+        if delta < 0:
+            raise ValueError("delta must be nonnegative")
         self.curve, self.lo_vertex, self.delta, self._dots = curve, lo_vertex, float(delta), dots
         self.hi_vertex = lo_vertex + (len(dots[0]) - 1) // 3
         self._ivs = [None] * len(dots[0])
@@ -157,10 +157,15 @@ def decide_frechet_subcurve_segment(
     # vertices strictly between the two endpoints must be crossable
     lo_v = a.edge_index + 1 if a.local < 1.0 else a.edge_index + 2
     hi_v = b.edge_index if b.local > 0.0 else b.edge_index - 1
-    if lo_v > hi_v:
-        return True
-    row = FreeSpaceRow(P, min(a.edge_index, P.n - 1), min(b.edge_index + 1, P.n), seg, delta)
-    return _sweep_crossings(row, lo_v, hi_v) is not None
+    # rows over doubling runs of vertices, so that a crossing that fails
+    # early computes few dots and a long sweep few tables
+    cur: Optional[Radical] = ZERO
+    v, width = lo_v, 16
+    while cur is not None and v <= hi_v:
+        top = min(v + width - 1, hi_v)
+        cur = _sweep_crossings(FreeSpaceRow(P, v, top + 1, seg, delta), v, top, cur)
+        v, width = top + 1, 2 * width
+    return cur is not None
 
 
 def _start_upper(t: EdgePoint, i: int) -> Radical:

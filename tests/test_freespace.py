@@ -96,6 +96,21 @@ def test_decide_symmetry_under_reversal():
         )
 
 
+def test_decide_on_long_subcurves_fails_at_each_vertex_and_carries_the_sweep():
+    # the decision sweeps long spans in runs of vertices: a vertex off the
+    # segment, or one that steps back, makes it fail wherever it lies
+    n = 80
+    line = np.column_stack([np.arange(n, dtype=float), np.zeros(n)])
+    seg = Segment(line[0], line[-1])
+    a, b = whole(PolyCurve(line))
+    assert decide_frechet_subcurve_segment(PolyCurve(line), a, b, seg, 0.5)
+    for k in range(1, n - 1):
+        for moved in ((k, 0.6), (k - 2.2, 0.0)):
+            V = line.copy()
+            V[k] = moved
+            assert not decide_frechet_subcurve_segment(PolyCurve(V), a, b, seg, 0.5), (k, moved)
+
+
 def test_decide_agrees_with_bracket():
     P = curve_from_points([(0, 0), (1, 0)])
     a, b = whole(P)

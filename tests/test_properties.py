@@ -473,10 +473,12 @@ def reference_coverage_block(S: PolyCurve, starts: np.ndarray, ends: np.ndarray,
     return [merge_intervals(ivs) for ivs in out]
 
 
-def _assert_fill_equals_reference(S, starts, ends, radius, block):
+def _assert_fill_equals_reference(S, starts, ends, radius, block, spy=None):
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:  # many blocks of candidates
             mp.setattr(coverage_module, "BLOCK_ENTRIES", block)
+        if spy is not None:  # patches the fill's lookups, not the reference's
+            spy(mp)
         got = batch_candidate_coverage(S, starts, ends, radius)
     want = reference_coverage_block(S, starts, ends, radius)
     assert len(got) == len(want)
@@ -677,46 +679,9 @@ def test_free_space_rows_equal_ball_segment_radical(scene, factor, data):
                         read(x)
 
 
-def _cell_x_at_height(S, cell, point, delta, leftmost):
-    """Global curve parameter of the extreme free point of a cell at one height."""
-    edge = S.edge(cell)
-    iv = ball_segment_radical(edge.start, edge.end, point, delta)
-    if not iv.empty:
-        local = iv.lo if leftmost else iv.hi
-    else:
-        v = edge.direction()
-        vv = float(np.dot(v, v))
-        u = 0.0 if vv == 0.0 else float(np.dot(point - edge.start, v)) / vv
-        local = Radical.exact(min(max(u, 0.0), 1.0))
-    return local.affine(S.edge_width(cell), S.param(cell))
-
-
-def reference_window_rect(S, row, t_slice, tau, i, j, e, delta):
-    """``coverage._window_rect`` with each cell's extreme free point at a
-    height computed on its own, not by ``freespace._slice_endpoint``."""
-    if t_slice.empty:
-        return None
-    verts = [row.vertical(v) for v in range(i + 1, j)]
-    if any(iv.empty for iv in verts) or (j - i == 3 and not verts[0].lo.le(verts[1].hi)):
-        return None
-    cap_i = capsule_segment_radical(S.edge(i), e, delta)
-    cap_j = capsule_segment_radical(S.edge(j - 1), e, delta)
-    if cap_i.empty or cap_j.empty:
-        return None
-    tau_rad = Radical.exact(tau)
-    a_i_glob = _cell_x_at_height(S, i, e.at(cap_i.lo.value()), delta, leftmost=True)
-    alpha1 = t_slice.lo if tau_rad.le(a_i_glob) else cap_i.lo
-    b_j_glob = _cell_x_at_height(S, j - 1, e.at(cap_j.hi.value()), delta, leftmost=False)
-    beta2 = t_slice.hi if b_j_glob.le(tau_rad) else cap_j.hi
-    alpha2 = rad_min(*[iv.hi for iv in verts], t_slice.hi)
-    beta1 = rad_max(*[iv.lo for iv in verts], t_slice.lo)
-    if not alpha1.le(alpha2) or not beta1.le(beta2):
-        return None
-    return (alpha1, alpha2, beta1, beta2)
-
-
 def reference_feasible_rectangles(S, t, edge, delta):
-    """``feasible_rectangles`` on two rows over the whole curve."""
+    """``feasible_rectangles`` on two rows over the whole curve, each built on
+    its own, and every window of an empty slice rejected here."""
     e = S.edge(edge)
     tau = S.edge_point_param(t)
     pt = S.edge_point_coords(t)
@@ -725,7 +690,9 @@ def reference_feasible_rectangles(S, t, edge, delta):
         row = FreeSpaceRow(S, 1, S.n, seg, delta)
         t_slice = ball_segment_radical(seg.start, seg.end, pt, delta)
         for (i, j) in coverage_module.window_set(S, t):
-            rect = reference_window_rect(S, row, t_slice, tau, i, j, seg, delta)
+            if t_slice.empty:
+                continue
+            rect = coverage_module._window_rect(S, row, {}, t_slice, tau, i, j, seg, delta)
             if rect is None:
                 continue
             a1, a2, b1, b2 = rect
@@ -840,11 +807,12 @@ def test_fill_fallback_runs_on_lattice_scenes_and_equals_the_reference():
         P, delta, _ = scene
         S = PolyCurve(4.0 * P.vertices)
         starts, ends = candidate_segments(S, candidate_set(S, delta))
-        with pytest.MonkeyPatch.context() as mp:
+
+        def spy(mp):
             name = "ball_segment_radical_from_dots"
-            counted = _counting(calls, name, getattr(freespace_module, name))
-            mp.setattr(freespace_module, name, counted)
-            _assert_fill_equals_reference(S, starts, ends, 8.0 * delta, None)
+            mp.setattr(freespace_module, name, _counting(calls, name, getattr(freespace_module, name)))
+
+        _assert_fill_equals_reference(S, starts, ends, 8.0 * delta, None, spy)
 
     check()
     assert calls
