@@ -155,7 +155,7 @@ def run(config: RunConfig) -> dict:
     }
 
     report = {
-        "schema": 1,
+        "schema": 2,
         "input": config.input_path,
         "delta": config.delta,
         "variant": config.variant,
@@ -185,6 +185,7 @@ def run(config: RunConfig) -> dict:
                 "coverage_cache_hits": result.coverage_cache_hits,
                 "feasible_mass": result.feasible_mass,
                 "feasibility": result.feasibility,
+                "phases": result.phases,
                 "centers": [[seg.start.tolist(), seg.end.tolist()] for seg in centers],
                 "coverage": [[iv.lo, iv.hi] for iv in coverage],
                 "verdict": verdict,

@@ -310,9 +310,10 @@ def feasible_rectangles(S: PolyCurve, t: EdgePoint, edge: int, delta: float) -> 
     pt = S.edge_point_coords(t)
     slices = [ball_segment_radical(seg.start, seg.end, pt, delta) for seg in segs]
     live = [k for k in (0, 1) if not slices[k].empty]
-    # the rows span the vertices window_set's windows read
+    # the rows span the inner vertices of window_set's windows, the only
+    # part of them _window_rect reads
     ip = t.edge_index
-    lo, hi = max(ip - MAX_WINDOW_EDGES + 1, 1), min(ip + MAX_WINDOW_EDGES, S.n)
+    lo, hi = max(ip - MAX_WINDOW_EDGES + 2, 1), min(ip + MAX_WINDOW_EDGES - 1, S.n)
     ends = np.array([e.end, e.start])
     rows = free_space_rows(S, lo, S.vertices[lo - 1 : hi], ends[::-1], ends, delta, live)
     rects: List[Tuple[float, float, float, float]] = []

@@ -22,9 +22,12 @@ initial one.  There are two:
 The search reads coverage from one cache per solve, keyed by candidate
 number (``_CoverageCache``).  An implicit solve's cache holds only the
 candidates drawn.  An explicit solve's cache also answers the feasibility
-queries: by a feasibility mask over all candidates at first, and once the
-masks paid would reach the cost of filling every candidate, by filling all
-of them and stabbing their window intervals at each witness.
+queries, lazily (a round fills its new draws, a query masks all candidates)
+or from one fill of every candidate that keeps their window intervals for
+queries to stab.  By measured prices, that fill comes before round 1 when
+it costs at most two failed lazy rounds, so a solve whose first round
+covers pays at most one fill of its draws plus two masks more than the lazy
+way; otherwise once the lazy rounds have paid two thirds of its price.
 
 An explicit round needs only which candidates its k' draws hit, so it draws
 the per-candidate counts from one multinomial (``sample_indices``), in time
@@ -223,6 +226,9 @@ class CoverResult:
     # explicit solves: how the feasibility queries were answered
     # (``_CoverageCache.feasibility``); None for the other searches
     feasibility: Optional[dict] = None
+    # sampling searches: per target size tried, in order, its k, k', i_max,
+    # rounds and proper updates
+    phases: List[dict] = field(default_factory=list)
 
     def center_segments(self, S: PolyCurve) -> List[Segment]:
         return [c.segment(S) for c in self.centers]
@@ -233,6 +239,7 @@ class _LoopStats:
     rounds: int = 0
     proper: int = 0
     feasible_mass: List[float] = field(default_factory=list)
+    phases: List[dict] = field(default_factory=list)
 
 
 # The most windows ``coverage.window_set`` returns.  A mask is charged them
@@ -240,61 +247,120 @@ class _LoopStats:
 # the witness's edge.
 _MASK_WINDOWS = MAX_WINDOW_EDGES * (MAX_WINDOW_EDGES + 1) // 2
 
+# The coverage cache's prices in microseconds, fitted to measured times
+# (CHANGES.md): a fixed cost per call, and a cost per window decided, dearer
+# in a fill, which also merges, than in a mask.
+_CALL_US = 200.0
+_FILL_WINDOW_US = 0.36
+_MASK_WINDOW_US = 0.22
+# The share of the table's price the lazy rent may reach: a search that has
+# failed many rounds tends to fail many more, and at the whole price the
+# n = 400, k' = 6 lapped-square search runs slower (CHANGES.md).
+_BUY_SHARE = 2.0 / 3.0
+
+
+class _KeyRows:
+    """Rows by candidate number, read and written like the index array of an
+    explicit cache (-1: not filled), for implicit numbers, too many for one."""
+
+    def __init__(self):
+        self.rows: Dict[int, int] = {}
+
+    def __getitem__(self, numbers: np.ndarray) -> np.ndarray:
+        return np.array([self.rows.get(n, -1) for n in numbers.tolist()], dtype=np.intp)
+
+    def __setitem__(self, numbers: np.ndarray, rows: np.ndarray) -> None:
+        self.rows.update(zip(numbers.tolist(), rows.tolist()))
+
 
 class _CoverageCache:
     """Structured coverage of the candidates drawn so far, keyed by candidate number.
 
     A candidate is filled on its first draw, with the others new in the same
-    round; ``filled`` counts the candidates filled and ``hits`` the draws
-    that found theirs filled already.
+    round, and ``row`` gives its row in ``table``; ``filled`` counts the
+    candidates filled and ``hits`` the draws that found theirs filled already.
 
     Given ``segments``, the (starts, ends) of every candidate of an explicit
-    list, the cache answers that list's feasibility queries (``feasible``),
-    costing both ways of answering in windows decided per candidate.  A
-    query is a feasibility mask over all candidates, ``_MASK_WINDOWS`` each,
-    until the masks run, with this one, reach the cost of a table fill,
-    4*ne - 6 each.  That query fills every candidate, those drawn before
-    again, in one call that keeps the window intervals, and it and every
-    later query stabs them (``coverage.WindowTable``).  No fill before it
-    keeps windows, so a solve that never switches holds none.
+    list, the cache also answers that list's feasibility queries
+    (``feasible``), lazily or from the table, whichever its prices (a fixed
+    cost per call plus a cost per window) make cheaper.  Lazily, each round
+    fills its new draws and each query masks all candidates.  The table
+    holds every candidate with its window intervals: rounds take their
+    coverage from it and queries stab the windows (``coverage.WindowTable``,
+    sorted at the first query, so a solve that never queries sorts nothing).
+
+    The table is filled in place of round 1's fill when it costs at most two
+    failed lazy rounds, two fills of round 1's draws and two masks, so a
+    solve whose first round covers pays at most one fill of its draws plus
+    two masks more than the lazy way.  Otherwise the query at which the
+    lazy rent (fills and masks, with this query's) would reach
+    ``_BUY_SHARE`` of the table's price fills the table.  A fill is per
+    candidate and a stab equals the mask, so covers, rounds and feasible
+    sets do not depend on the choice.
     """
 
     def __init__(self, S: PolyCurve, delta: float, segments: Optional[tuple] = None):
         self.S = S
         self.delta = delta
-        self.row: Dict[int, int] = {}  # each filled candidate's row in table
         self.table = Coverage.of([])
         self.filled = self.hits = 0
         self.segments = segments
         self.stabbed: Optional[WindowTable] = None
         self.masks = self.table_queries = self.band = 0
-        self.table_filled_at: Optional[int] = None  # the query that filled every candidate
+        # the query that filled every candidate, 0 when that came before round 1
+        self.table_filled_at: Optional[int] = None
+        self.rent = 0.0
+        self._fill_windows = sum(max(S.num_edges - L, 0) for L in range(MAX_WINDOW_EDGES))
+        if segments is None:
+            self.row = _KeyRows()
+        else:
+            n = segments[0].shape[0]
+            self.row = np.full(n, -1, dtype=np.intp)
+            self.price = self._fill_cost(n)
+            self.mask_cost = _CALL_US + _MASK_WINDOW_US * _MASK_WINDOWS * n
+
+    def _fill_cost(self, count: int) -> float:
+        return _CALL_US + _FILL_WINDOW_US * self._fill_windows * count
+
+    def _fill_table(self) -> None:
+        """Fill every candidate, keeping the windows for the first query to sort."""
+        starts, ends = self.segments
+        self.table = batch_candidate_coverage(self.S, starts, ends, self.delta, windows=True)
+        self.filled = self.row.size
+        self.row = np.arange(self.row.size)
 
     def intervals_for(self, weighting: Weighting, drawn: np.ndarray) -> Coverage:
         """Coverage of each given candidate; the numbers must be distinct."""
-        numbers = drawn.tolist()
-        new = [n for n in numbers if n not in self.row]
-        self.hits += len(numbers) - len(new)
-        if new:
-            self.row.update(zip(new, range(len(self.table), len(self.table) + len(new))))
-            starts, ends = candidate_segments(self.S, [weighting.candidate_at(n) for n in new])
+        if (
+            self.segments is not None
+            and not self.filled
+            and self.price <= 2.0 * (self._fill_cost(drawn.size) + self.mask_cost)
+        ):
+            self._fill_table()
+            self.table_filled_at = 0
+        rows = self.row[drawn]
+        new = drawn[rows < 0]
+        self.hits += drawn.size - new.size
+        if new.size:
+            self.row[new] = np.arange(len(self.table), len(self.table) + new.size)
+            starts, ends = candidate_segments(self.S, [weighting.candidate_at(n) for n in new.tolist()])
             self.table = self.table.extended(batch_candidate_coverage(self.S, starts, ends, self.delta))
-            self.filled += len(new)
-        return self.table.take(np.array([self.row[n] for n in numbers], dtype=np.intp))
+            self.filled += new.size
+            self.rent += self._fill_cost(new.size)
+            rows = self.row[drawn]
+        return self.table.take(rows)
 
     def feasible(self, t: EdgePoint) -> np.ndarray:
         """Increasing numbers of the candidates able to cover t."""
         S, (starts, ends), delta = self.S, self.segments, self.delta
-        if self.stabbed is None:
-            fill = sum(max(S.num_edges - L, 0) for L in range(MAX_WINDOW_EDGES))
-            if (self.masks + 1) * _MASK_WINDOWS < fill:
+        if self.table_filled_at is None:
+            if self.rent + self.mask_cost < _BUY_SHARE * self.price:
                 self.masks += 1
+                self.rent += self.mask_cost
                 return np.flatnonzero(batch_feasible_mask(S, t, starts, ends, delta))
+            self._fill_table()
             self.table_filled_at = self.masks + 1
-            n = starts.shape[0]
-            self.table = batch_candidate_coverage(S, starts, ends, delta, windows=True)
-            self.filled += n - len(self.row)
-            self.row = dict(zip(range(n), range(n)))
+        if self.stabbed is None:
             self.stabbed = WindowTable(self.table.windows)
             self.table.windows = None  # stabbed holds them, sorted
         self.table_queries += 1
@@ -404,7 +470,7 @@ def doubling_search(
         return SolverFailure(message, {
             "max_k": cfg.max_k, "candidates": n_candidates, "rounds": stats.rounds,
             "proper_iterations": stats.proper, "feasible_mass": stats.feasible_mass,
-            "feasibility": cache.feasibility(),
+            "feasibility": cache.feasibility(), "phases": stats.phases,
         })
 
     k = 1
@@ -417,7 +483,7 @@ def doubling_search(
         else:
             k_prime = math.ceil(16 * k * gamma * math.log(16 * k * gamma))
         i_max = max(math.ceil(5 * k * math.log2(n_candidates / k)) if n_candidates > k else 0, 1)
-        updates = stats.proper
+        rounds, updates = stats.rounds, stats.proper
         result = k_approx_cover(
             S,
             weighting,
@@ -429,8 +495,13 @@ def doubling_search(
             cache=cache,
             stats=stats,
         )
+        stats.phases.append({
+            "k": k, "k_prime": k_prime, "i_max": i_max,
+            "rounds": stats.rounds - rounds, "proper_updates": stats.proper - updates,
+        })
         if result is not None:
             result.k_found = k
+            result.phases = stats.phases
             return result
         if cfg.k_prime_override is not None and stats.proper == updates:
             raise failure("no weight update at the forced k'")

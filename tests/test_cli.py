@@ -228,7 +228,7 @@ def test_run_segment_instance(tmp_path):
     cfg = RunConfig(input_path=path, delta=1.0, verify=True, seed=5)
     report = run(cfg)
     assert report["verdict"] == "PASS"
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     assert report["k_found"] >= 2 and report["centers"]
 
 
@@ -257,7 +257,7 @@ def test_report_counts_returned_and_sampled_centers(tmp_path, variant):
     cfg = RunConfig(input_path=path, delta=0.5, variant=variant, verify=True, seed=3,
                     gamma_override=1)
     report = run(cfg)
-    assert report["verdict"] == "PASS" and report["schema"] == 1
+    assert report["verdict"] == "PASS" and report["schema"] == 2
     assert report["n_centers"] == len(report["centers"]) >= 1
     assert report["n_sampled"] >= report["n_centers"]
     if variant == "greedy":
@@ -317,6 +317,16 @@ def test_report_counts_proper_updates(tmp_path, monkeypatch, variant):
         assert feasibility["masks"] + feasibility["table_queries"] >= report["proper_updates"]
     else:
         assert report["feasibility"] is None
+    # one entry per target size tried, which together count every round and update
+    assert report["phases"] == results[0].phases
+    if variant == "greedy":
+        assert report["phases"] == []
+    else:
+        assert [p["k"] for p in report["phases"]] == [2 ** (i + 1) for i in range(len(report["phases"]))]
+        assert report["phases"][-1]["k"] == report["k_found"]
+        assert all(p["k_prime"] == 4 for p in report["phases"])
+        assert sum(p["rounds"] for p in report["phases"]) == report["iterations"]
+        assert sum(p["proper_updates"] for p in report["phases"]) == report["proper_updates"]
 
 
 @pytest.mark.parametrize("variant", ["explicit", "implicit", "greedy"])
@@ -326,7 +336,7 @@ def test_report_times_each_stage(tmp_path, variant):
     cfg = RunConfig(input_path=path, delta=0.5, variant=variant, verify=True, seed=3,
                     gamma_override=1, output_json_path=str(out))
     report = run(cfg)
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     assert set(report["stage_s"]) == {"ingest", "simplify", "solve", "verify"}
     assert json.loads(out.read_text())["stage_s"].keys() == report["stage_s"].keys()
 
@@ -346,7 +356,7 @@ def test_main_exit_codes(tmp_path, capsys):
     data = json.loads((tmp_path / "report.json").read_text())
     assert data["verdict"] == "PASS"
     captured = capsys.readouterr()
-    assert '"schema": 1' in captured.out
+    assert '"schema": 2' in captured.out
 
     code = main(["--input", str(tmp_path / "missing.txt"), "--delta", "1.0"])
     assert code == 2

@@ -207,10 +207,10 @@ def test_size_cap_failure_has_the_same_diagnostics_for_both_weightings(solve):
         solve(P, 1.0, SolverConfig(max_k=1))
     diagnostics = failure.value.diagnostics
     assert set(diagnostics) == {
-        "max_k", "candidates", "rounds", "proper_iterations", "feasible_mass", "feasibility",
+        "max_k", "candidates", "rounds", "proper_iterations", "feasible_mass", "feasibility", "phases",
     }
     assert (diagnostics["max_k"], diagnostics["rounds"], diagnostics["proper_iterations"]) == (1, 0, 0)
-    assert diagnostics["feasible_mass"] == []
+    assert diagnostics["feasible_mass"] == [] and diagnostics["phases"] == []
     if solve is approx_cover:
         assert diagnostics["feasibility"] == {
             "masks": 0, "table_queries": 0, "band_candidates": 0, "table_filled_at": None,
@@ -223,15 +223,16 @@ def test_forced_k_prime_ends_the_search_at_the_first_phase_without_an_update():
     # Two centres are needed and k' = 1: every witness's feasible set is
     # heavy, so the k = 2 phase spends its 1,000 rounds without an update.
     # With k' fixed, the phases at k = 4 and 8 would only repeat that.  On
-    # four candidates one mask costs more than the whole fill, so the first
-    # query fills the table; a witness repeated from the round before is not
-    # queried again.
+    # four candidates the whole fill costs less than a failed round, so the
+    # table is filled before round 1; a witness repeated from the round
+    # before is not queried again.
     P = curve_from_points([(0, 0), (20, 0), (20, 20)])
     with pytest.raises(SolverFailure, match="no weight update") as failure:
         approx_cover(P, 1.0, SolverConfig(rng_seed=1, k_prime_override=1, max_k=8))
     assert failure.value.diagnostics == {
         "max_k": 8, "candidates": 4, "rounds": 1000, "proper_iterations": 0, "feasible_mass": [],
-        "feasibility": {"masks": 0, "table_queries": 491, "band_candidates": 0, "table_filled_at": 1},
+        "feasibility": {"masks": 0, "table_queries": 491, "band_candidates": 0, "table_filled_at": 0},
+        "phases": [{"k": 2, "k_prime": 1, "i_max": 10, "rounds": 1000, "proper_updates": 0}],
     }
 
 
@@ -249,6 +250,14 @@ def recording(calls, fn):
     def call(*args, **kwargs):
         calls.append(args + (kwargs,))
         return fn(*args, **kwargs)
+
+    return call
+
+
+def returning(results, fn):
+    def call(*args):
+        results.append(fn(*args))
+        return results[-1]
 
     return call
 
@@ -278,24 +287,25 @@ def test_every_explicit_feasible_set_equals_the_full_mask(monkeypatch, seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_a_seven_vertex_curve_fills_its_table_at_its_first_or_second_update(monkeypatch, seed):
-    calls, masks = [], []
+def test_a_seven_vertex_curve_fills_its_table_before_its_first_round(monkeypatch, seed):
+    # At m = 7 the fill of all of B costs less than two failed rounds of
+    # a fill of four draws and a mask over B, so it is the solve's one fill
+    calls, masks, draws = [], [], []
     monkeypatch.setattr(solver, "batch_candidate_coverage", recording(calls, batch_candidate_coverage))
     monkeypatch.setattr(solver, "batch_feasible_mask", recording(masks, batch_feasible_mask))
+    monkeypatch.setattr(ExplicitDist, "distinct_draws", returning(draws, ExplicitDist.distinct_draws))
     P = noisy_lapped(TRIANGLE, 60, 2, 0.15)
     S = simplify_curve(P, 0.5).curve
     B = candidate_set(S, 0.5)
     res = approx_cover(P, 0.5, SolverConfig(rng_seed=seed, k_prime_override=4))
     assert S.n == 7
-    filled_at = res.feasibility["table_filled_at"]
-    assert filled_at in (1, 2)
-    assert len(masks) == res.feasibility["masks"] == filled_at - 1
-    fills = [len(args[1]) for args in calls]
-    # the table fill is the last fill: it holds every candidate, and every
-    # later draw is a cache hit
-    assert fills[-1] == res.coverage_filled == len(B)
-    assert len(fills) <= filled_at + 1
-    assert [kwargs for *_, kwargs in calls] == [{}] * (len(fills) - 1) + [{"windows": True}]
+    assert res.feasibility["table_filled_at"] == 0
+    assert masks == [] and res.feasibility["masks"] == 0
+    assert res.feasibility["table_queries"] >= res.proper_iterations > 0
+    assert [(len(args[1]), kwargs) for *args, kwargs in calls] == [(len(B), {"windows": True})]
+    # every draw is a cache hit
+    assert res.coverage_filled == len(B)
+    assert res.coverage_cache_hits == sum(d.size for d in draws)
 
 
 def test_a_long_curve_with_few_updates_never_fills_its_table(monkeypatch):
@@ -308,6 +318,69 @@ def test_a_long_curve_with_few_updates_never_fills_its_table(monkeypatch):
     assert res.feasibility["masks"] == res.iterations - 1 > 10
     assert res.feasibility["table_queries"] == 0
     assert max(fills) <= 8 and res.coverage_filled == sum(fills) < 8 * res.iterations
+
+
+def test_a_first_round_cover_on_a_large_candidate_set_fills_only_its_draws(monkeypatch):
+    calls = []
+    monkeypatch.setattr(solver, "batch_candidate_coverage", recording(calls, batch_candidate_coverage))
+    P = noisy_lapped(SQUARE, 600, 3, 0.4)
+    simplification = simplify_curve(P, 0.5)
+    B = candidate_set(simplification.curve, 0.5)
+    res = approx_cover(P, 0.5, SolverConfig(rng_seed=0, gamma=1), simplification=simplification, candidates=B)
+    assert len(B) > 1000 and res.iterations == 1
+    assert [(len(args[1]), kwargs) for *args, kwargs in calls] == [(res.n_sampled, {})]
+    assert res.coverage_filled == res.n_sampled
+    assert res.feasibility == {"masks": 0, "table_queries": 0, "band_candidates": 0, "table_filled_at": None}
+
+
+@st.composite
+def small_lapped_solves(draw):
+    """A noisy lapped triangle or square that simplifies to 4..9 vertices, and a seed."""
+    corners = draw(st.sampled_from([TRIANGLE, SQUARE]))
+    laps = draw(st.integers(1, 2))
+    n = draw(st.integers(12, 30)) * laps
+    noise = draw(st.sampled_from([0.05, 0.15, 0.3]))
+    P = noisy_lapped(corners, n, laps, noise, seed=draw(st.integers(0, 2**16)))
+    assume(4 <= simplify_curve(P, 0.5).curve.n <= 9)
+    return P, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(small_lapped_solves())
+def test_the_table_up_front_and_the_lazy_cache_give_the_same_solve(scene):
+    # the fill price decides the policy: at 0 the table is filled before
+    # round 1, and at 1e9 microseconds a window the rounds fill their draws
+    # and the queries are masks, at least until every candidate is filled
+    P, seed = scene
+    runs = []
+    for price in (0.0, 1e9):
+        draws, sets = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_FILL_WINDOW_US", price)
+            mp.setattr(ExplicitDist, "distinct_draws", returning(draws, ExplicitDist.distinct_draws))
+            mp.setattr(solver._CoverageCache, "feasible", returning(sets, solver._CoverageCache.feasible))
+            try:
+                res = approx_cover(P, 0.5, SolverConfig(rng_seed=seed, k_prime_override=4))
+            except SolverFailure as failure:
+                res = failure.diagnostics
+        if isinstance(res, dict):
+            feasibility, out = res.pop("feasibility"), res
+        else:
+            S = simplify_curve(P, 0.5).curve
+            feasibility = res.feasibility
+            coverage = full_coverage(P, res.center_segments(S), 5.5)
+            out = (
+                [(c.edge_index, c.alpha.hex(), c.beta.hex()) for c in res.centers],
+                res.iterations, res.proper_iterations, res.k_found, res.phases,
+                [m.hex() for m in res.feasible_mass],
+                [(iv.lo.hex(), iv.hi.hex()) for iv in coverage],
+            )
+        runs.append((out, [d.tolist() for d in draws], [f.tolist() for f in sets], feasibility))
+    (out0, draws0, sets0, up_front), (out1, draws1, sets1, lazy) = runs
+    assert out0 == out1 and draws0 == draws1 and sets0 == sets1
+    assert up_front["table_filled_at"] == 0 and up_front["masks"] == 0
+    assert lazy["table_filled_at"] != 0 and (lazy["masks"] > 0 or not sets1)
 
 
 def test_approx_cover_single_segment():
