@@ -20,12 +20,11 @@ where ``geometry.radicals_apart`` separates them, and tie where their forms
 are identical.  Entries left undecided run the scalar code, as do a point
 edge, a capsule of one regime and non-finite values.  The output is bitwise
 that of one ``freespace.extremal_points`` call per close subcurve and
-``_dedup_radicals`` per edge.
+``_sorted_distinct`` per edge.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import List, NamedTuple, Sequence, Set, Tuple
@@ -41,6 +40,7 @@ from .geometry import (
     ball_segment_radical_from_dots,
     capsule_segment_dots,
     capsule_segment_radical_from_dots,
+    quadratic_roots,
     radicals_apart,
     rowdot,
     segment_pairs_dist_sq,
@@ -159,59 +159,6 @@ def _sorted_distinct(vals: List[Radical]) -> List[Radical]:
     return out
 
 
-def _total_preorder(vals: List[Radical]) -> bool:
-    """Whether ``Radical.le`` is total and transitive on the values."""
-    forms = list({(v.a, v.b, v.sign): v for v in vals}.values())
-    le = np.array([[x.le(y) for y in forms] for x in forms])
-    chained = (le.astype(np.int64) @ le.astype(np.int64)) > 0
-    return bool((le | le.T).all() and not (chained & ~le).any())
-
-
-def _dedup_radicals(vals: List[Radical]) -> List[Radical]:
-    """``_sorted_distinct``, filtered: a sort on the float values.
-
-    Values are sorted by (float value, input index) and cut into clusters:
-    runs of one float value, chained while ``radicals_apart`` does not
-    separate neighbouring runs.  Across clusters the comparator orders as
-    the floats do.  A cluster of one run whose radicals are all ``eq``
-    merges into its first by input index, as the stable comparator sort
-    merges it.  Any other cluster on which ``Radical.le`` is a total
-    preorder is sorted alone, since the comparator sort of the whole list is
-    then the concatenation of the clusters' sorts.  Only a cluster where it
-    is not (``le`` is not transitive at near-ties) sends the whole list to
-    ``_sorted_distinct``.
-    """
-    x = [v.value() for v in vals]
-    runs: List[list] = []  # [float value, largest |a| + sqrt(b), members (index, radical)]
-    for k in sorted(range(len(vals)), key=x.__getitem__):
-        v = vals[k]
-        size = abs(v.a) + math.sqrt(v.b)
-        if runs and runs[-1][0] == x[k]:
-            runs[-1][1] = max(runs[-1][1], size)
-            runs[-1][2].append((k, v))
-        else:
-            runs.append([x[k], size, [(k, v)]])
-    clusters: List[list] = []
-    for k, run in enumerate(runs):
-        if k and not radicals_apart(run[0], run[1], runs[k - 1][0], runs[k - 1][1]):
-            clusters[-1].append(run)
-        else:
-            clusters.append([run])
-    out: List[Radical] = []
-    for cluster in clusters:
-        members = [v for _, v in cluster[0][2]]
-        # eq depends only on (a, b, sign), and holds between equal forms
-        forms = list({(v.a, v.b, v.sign): v for v in members}.values())
-        if len(cluster) == 1 and all(f.eq(u) for i, f in enumerate(forms) for u in forms[:i]):
-            out.append(members[0])
-            continue
-        members = [v for _, v in sorted(m for run in cluster for m in run[2])]  # input order
-        if not _total_preorder(members):
-            return _sorted_distinct(vals)
-        out.extend(_sorted_distinct(members))
-    return out
-
-
 def candidate_set(S: PolyCurve, delta: float) -> List[Candidate]:
     """One candidate per generating triple: the start parameter comes from
     the first subcurve's optimal subsegment, the end from the second's.
@@ -257,14 +204,14 @@ def _radicals(forms: np.ndarray) -> List[Radical]:
 
 
 def _distinct(group: np.ndarray, forms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The values of ``_dedup_radicals`` of each group's radicals, given as
+    """The values of ``_sorted_distinct`` of each group's radicals, given as
     forms (3, N) in order: (group, value) arrays, by group, then value.
 
     One stable lexsort by (group, float value) gives every group's sorted
     list.  Runs of one value merge into their first where their forms are
     identical; a group with a run of different forms, or with neighbouring
     values that ``radicals_apart`` does not separate, takes
-    ``_dedup_radicals``.
+    ``_sorted_distinct``.
     """
     x, size = _values(forms)
     order = np.lexsort((x, group))
@@ -281,7 +228,7 @@ def _distinct(group: np.ndarray, forms: np.ndarray) -> Tuple[np.ndarray, np.ndar
     keep &= ~np.isin(g, scalar)
     g_out, x_out = [g[keep]], [x[keep]]
     for k in scalar.tolist():
-        vals = [v.value() for v in _dedup_radicals(_radicals(forms[:, group == k]))]
+        vals = [v.value() for v in _sorted_distinct(_radicals(forms[:, group == k]))]
         g_out.append(np.full(len(vals), k))
         x_out.append(np.array(vals))
     g, x = np.concatenate(g_out), np.concatenate(x_out)
@@ -348,14 +295,13 @@ def _clip(lo: np.ndarray, hi: np.ndarray, x0: np.ndarray, x1: np.ndarray):
 
 
 def _quadratic(aa, bb, cc):
-    """``_quadratic_sublevel``'s float steps where 4*aa*aa is nonzero: where
-    the discriminant is negative, and the forms of the two roots."""
-    disc = bb * bb - 4.0 * aa * cc
+    """``_quadratic_sublevel`` where 4*aa*aa is nonzero: where the
+    discriminant is negative, and the forms of the two roots."""
+    disc, mid, rad = quadratic_roots(aa, bb, cc)
     low = np.empty((3,) + disc.shape)
-    low[0] = -bb / (2.0 * aa)
-    low[1] = disc / (4.0 * aa * aa)
+    low[0], low[1], low[2] = mid, rad, -1.0
     high = low.copy()
-    low[2], high[2] = -1.0, 1.0
+    high[2] = 1.0
     return disc < 0.0, low, high
 
 

@@ -289,7 +289,7 @@ def arclength_params(points: np.ndarray) -> np.ndarray:
 
 def rowdot(x: np.ndarray, y: np.ndarray):
     """Dot products of the last axis: ``float(np.dot(x, y))`` for two vectors,
-    else an array over the leading axes.
+    else an array over the broadcast leading axes.
 
     Stacked rows go through stacked ``np.matmul`` (1 x d by d x 1), which
     takes the same BLAS dot per row as ``np.dot`` does, so a batched table
@@ -298,7 +298,7 @@ def rowdot(x: np.ndarray, y: np.ndarray):
     use fused multiply-adds.  ``np.vecdot`` would also match, but needs
     numpy 2.0, and the package supports numpy 1.24.
     """
-    if x.ndim == 1:
+    if x.ndim == y.ndim == 1:
         return float(np.dot(x, y))
     return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
@@ -344,12 +344,19 @@ def _quadratic_sublevel(aa: float, bb: float, cc: float) -> RadInterval:
         if bb > 0:
             return RadInterval(_NEG_INF_RAD, Radical.exact(t0))
         return RadInterval(Radical.exact(t0), _POS_INF_RAD)
-    disc = bb * bb - 4.0 * aa * cc
+    disc, mid, rad = quadratic_roots(aa, bb, cc)
     if disc < 0.0:
         return RadInterval.make_empty()
-    mid = -bb / (2.0 * aa)
-    rad = disc / (4.0 * aa * aa)
     return RadInterval(Radical(mid, rad, -1), Radical(mid, rad, 1))
+
+
+def quadratic_roots(aa, bb, cc):
+    """(disc, mid, rad) of aa t^2 + bb t + cc, for floats or arrays: its
+    roots are mid -+ sqrt(rad) where disc >= 0.  The one float evaluation of
+    the ball quadratic, which the radical path, the candidate tables and the
+    filtered kernel all read; meaningful where 4*aa*aa is nonzero."""
+    disc = bb * bb - 4.0 * aa * cc
+    return disc, -bb / (2.0 * aa), disc / (4.0 * aa * aa)
 
 
 def capsule_segment_dots(a: np.ndarray, b: np.ndarray, p: np.ndarray, q: np.ndarray):
@@ -534,38 +541,33 @@ def segment_pairs_dist_sq(p1: np.ndarray, q1: np.ndarray, p2: np.ndarray, q2: np
 #
 # ``ball_segment_radical`` is the contract: it decides emptiness and orders
 # endpoints exactly, given the float mid and rad of the quadratic.  The
-# kernel below evaluates the same clamped quadratic for whole arrays in
-# floats and reports, per entry, a bound ``err`` on the distance between its
-# float endpoints and the radical ones, plus a ``tight`` mask for entries
-# whose own decisions (the discriminant sign, lo <= 1 and 0 <= hi, which
-# together decide whether the clamped interval is empty) fall within that
-# bound.  Endpoints are compared in floats by ``filtered_nonneg``, which
-# treats a comparison whose margin is within the sum of the two entries'
-# ``err`` as undecided, and swept by ``filtered_sweep``; an undecided
-# comparison or a tight entry sends its decision to the radical path, unless
-# the sweep's failure rule below decides it, so a filtered result always
-# equals the exact one (Shewchuk's filtered predicates, 1997).
-# These three functions and ``radicals_apart``, which orders two radicals
-# by their float values, are the only places the tolerance policy lives.
+# kernel below takes the same dots (``ball_segment_dots``) and the same mid
+# and rad (``quadratic_roots``) for whole arrays, so its unclamped float ends
+# mid -+ sqrt(rad) are the ``Radical.value()`` of the contract's ends bit for
+# bit, and its rad has the sign of the contract's discriminant.  Per entry
+# it reports a bound ``err`` on the distance between its clamped float ends
+# and the radical ones, and a ``tight`` mask for entries whose own decisions
+# (the sign of rad, lo <= 1 and 0 <= hi, which together decide whether the
+# clamped interval is empty) fall within that bound.  Endpoints are
+# compared in floats by ``filtered_nonneg``, which treats a comparison whose
+# margin is within the sum of the two entries' ``err`` as undecided, and
+# swept by ``filtered_sweep``; an undecided comparison or a tight entry sends
+# its decision to the radical path, unless the sweep's failure rule below
+# decides it, so a filtered result always equals the exact one (Shewchuk's
+# filtered predicates, 1997).  These three functions and ``radicals_apart``,
+# which orders two radicals by their float values, are the only places the
+# tolerance policy lives.
 #
-# The bound.  With segment p->q, centre r, v = q-p, w = p-r, both paths
-# compute v and w identically; they differ in how the dot products are
-# summed and in the order of the float operations after them.  Writing
-# T = (|w| + delta)/|v| + 1, which bounds |mid|, sqrt(rad) and the
-# constants 0 and 1 the endpoints are compared against, the float mid is
-# within c*u*T of the radical one and rad within c*u*T^2 (u = eps/2, c
-# about 4d + 16).  The root then differs by at most sqrt(c*u)*T, and by
-# c*u*T^2/sqrt(rad) away from tangency.  The radical predicates themselves
-# order two same-sign radicals only to about sqrt(3u)*T (their last step
-# squares a difference that cancels), so the tolerance is a multiple of
-# sqrt(eps): BALL_TOL*T covers both terms up to d in the thousands with
-# room to spare, and is still far below any margin a generic input has.
-# None of this depends on the entry's own decision: where the float rad is
-# negative and the radical one is not, the roots still differ by at most
-# sqrt(|rad - rad'|) <= sqrt(c*u)*T, and clamping to [0, 1] moves no two
-# values further apart.  So a tight entry keeps its clamped float endpoints,
-# and if its radical interval is nonempty, its endpoints lie within err of
-# them.  A degenerate segment (v = 0) has NaN endpoints, which bound nothing.
+# The bound.  With segment p->q, centre r, v = q-p and w = p-r, let
+# T = (|w| + delta)/|v| + 1, which bounds |mid|, sqrt(rad) and the constants
+# 0 and 1 the ends are compared against.  ``Radical.le`` orders two
+# same-sign radicals only to about sqrt(3u)*T (u = eps/2; its last step
+# squares a difference that cancels), and ``clamp01`` compares the ends
+# with 0 and 1 by it, so err = BALL_TOL*T, a multiple of sqrt(eps), covers
+# both with room to spare and is still far below any margin a generic input
+# has.  A tight entry keeps its clamped float ends, and if its radical
+# interval is nonempty, its ends lie within err of them.  A degenerate
+# segment (v = 0) has NaN endpoints, which bound nothing.
 #
 # The sweep's failure rule.  Crossing k fails where its upper end lies below
 # the reach, the running maximum of the lower ends.  If the float hi_k lies
@@ -573,12 +575,12 @@ def segment_pairs_dist_sq(p1: np.ndarray, q1: np.ndarray, p2: np.ndarray, q2: np
 # either some interval 0..k is radically empty, or every one is nonempty
 # and, with j the crossing whose lo_j set the float reach, radical hi_k <=
 # hi_k + err_k < lo_j - err_j <= radical lo_j: the radical sweep fails at k
-# or before.  That holds whatever the
-# crossings before k decided, tight or undecided ones included, and for a
-# tight crossing k too, so a decisive failure is trusted wherever it lies.
-# A tight crossing never holds decisively, since its interval may be
-# empty.  A NaN end never decides: its margin, and those of every later
-# crossing, whose reach it makes NaN, are undecided.
+# or before.  That holds whatever the crossings before k decided, tight or
+# undecided ones included, and for a tight crossing k too, so a decisive
+# failure is trusted wherever it lies.  A tight crossing never holds
+# decisively, since its interval may be empty.  A NaN end never decides: its
+# margin, and those of every later crossing, whose reach it makes NaN, are
+# undecided.
 
 BALL_TOL = 128.0 * math.sqrt(float(np.finfo(float).eps))
 
@@ -621,14 +623,9 @@ def ball_intervals(
     ``ball_segment_radical`` does; a tight entry's radical ends, if it has
     any, lie within ``err`` of its float ones (section comment).
     """
-    v = ends - starts
-    w = starts - centres
-    add = np.add.reduce
-    with np.errstate(divide="ignore", invalid="ignore"):
-        aa = add(v * v, axis=-1)
-        ww = add(w * w, axis=-1)
-        mid = add(v * w, axis=-1) / -aa
-        rad = mid * mid - (ww - delta * delta) / aa
+    with np.errstate(all="ignore"):
+        aa, vw, ww = (np.asarray(x) for x in ball_segment_dots(starts, ends, centres))
+        _, mid, rad = quadratic_roots(aa, 2.0 * vw, ww - delta * delta)
         root = np.sqrt(np.abs(rad))
         lo = mid - root
         hi = mid + root

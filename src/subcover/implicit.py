@@ -80,49 +80,36 @@ class EdgeGrid:
             vals = np.concatenate([vals, [1.0]])
         return vals
 
-    def index_range(self, lo: float, hi: float) -> Optional[Tuple[int, int]]:
-        """Inclusive index range of grid values inside [lo, hi]; None if empty.
+    def index_range(self, lo, hi):
+        """Inclusive index ranges (first, last) of the grid values inside
+        [lo, hi], for floats or arrays; empty where first > last.
 
-        Matches the pointwise predicate lo <= value(j) <= hi exactly.
+        Matches the pointwise predicate lo <= value(j) <= hi exactly, without
+        building ``values()``, which can outnumber memory.
         """
-        if hi < lo:
-            return None
-        h = self.spacing
-        jlo = int(math.ceil(lo / h)) if lo > 0 else 0
-        while jlo > 0 and (jlo - 1) * h >= lo:
-            jlo -= 1
-        while jlo < self.lattice and jlo * h < lo:
-            jlo += 1
-        jhi = min(int(math.floor(hi / h)), self.lattice - 1)
-        while jhi + 1 < self.lattice and (jhi + 1) * h <= hi:
-            jhi += 1
-        while jhi >= 0 and jhi * h > hi:
-            jhi -= 1
-        jlo = max(jlo, 0)
-        take_extra = self.has_extra and lo <= 1.0 <= hi
-        if jlo > jhi or jlo >= self.lattice:
-            if take_extra:
-                return (self.size - 1, self.size - 1)
-            return None
-        if take_extra:
-            return (jlo, self.size - 1)  # contiguous: jhi is the last lattice point
-        return (jlo, jhi)
+        return self._count(lo, np.less), self._count(hi, np.less_equal) - 1
+
+    def _count(self, x, below):
+        """Number of grid values v with below(v, x).  The division's estimate
+        of the lattice count is off by at most one for a lattice of fewer
+        than 2**51 points, and one step each way against the values beside
+        it, computed as ``value`` computes them, makes it exact."""
+        h, n = self.spacing, self.lattice
+        k = np.ceil(x / h).clip(0, n).astype(np.int64)
+        k -= (k > 0) & ~below((k - 1) * h, x)
+        k += (k < n) & below(k * h, x)
+        if self.has_extra:
+            k += below(1.0, x)
+        return k
 
 
-IndexRect = Tuple[int, int, int, int]  # xa, xb, ya, yb inclusive index bounds
-
-
-def _rects_to_index(grid: EdgeGrid, rects) -> List[IndexRect]:
-    out = []
-    for (a1, a2, b1, b2) in rects:
-        xr = grid.index_range(a1, a2)
-        if xr is None:
-            continue
-        yr = grid.index_range(b1, b2)
-        if yr is None:
-            continue
-        out.append((xr[0], xr[1], yr[0], yr[1]))
-    return out
+def _rects_to_index(grid: EdgeGrid, rects) -> Tuple[np.ndarray, ...]:
+    """(xa, xb, ya, yb), inclusive index bounds, of the rectangles (a1, a2,
+    b1, b2) that hold a grid candidate."""
+    r = np.array(rects, dtype=float).reshape(-1, 4)
+    first, last = grid.index_range(r[:, 0::2], r[:, 1::2])  # columns x, y
+    keep = (first <= last).all(axis=1)
+    return first[keep, 0], last[keep, 0], first[keep, 1], last[keep, 1]
 
 
 class EdgeCells(NamedTuple):
@@ -199,13 +186,11 @@ class EdgeArrangement:
             doubled, added = [], 0
             reach = self._in_reach(t)
             for e, (grid, c) in enumerate(zip(self.grids, self.cells), start=1):
-                rects = []
-                if reach[e - 1]:
-                    rects = _rects_to_index(grid, feasible_rectangles(self.S, t, e, self.feas_delta).rects)
-                if not rects:
+                rects = feasible_rectangles(self.S, t, e, self.feas_delta).rects if reach[e - 1] else ()
+                xa, xb, ya, yb = _rects_to_index(grid, rects) if rects else np.empty((4, 0), dtype=np.int64)
+                if not xa.size:
                     doubled.append(c)
                     continue
-                xa, xb, ya, yb = np.array(rects, dtype=np.int64).T
                 xc = np.union1d(c.xcuts, np.concatenate([xa, xb + 1]))
                 yc = np.union1d(c.ycuts, np.concatenate([ya, yb + 1]))
                 # a new cell keeps the exponent of the old cell it lies in

@@ -175,25 +175,62 @@ def test_locate_roundtrip():
     assert abs(P.edge_point_param(ep) - 0.7) < 1e-12
 
 
+def _assert_decided_entries_are_radical(starts, ends, centres, delta):
+    """Every entry of ``ball_intervals`` that is not tight decides emptiness
+    as ``ball_segment_radical`` does, and its ends are the radical ones bit
+    for bit, but for an end within err of 0 or 1, which the clamp may pick
+    instead: that end lies within err.  Returns the number of bitwise ends."""
+    balls = ball_intervals(starts, ends, centres, delta)
+    shape = balls.lo.shape
+    P, Q, R = (np.broadcast_to(x, shape + x.shape[-1:]) for x in np.broadcast_arrays(starts, ends, centres))
+    bitwise = 0
+    for i in np.ndindex(shape):
+        if balls.tight[i]:
+            continue
+        exact = ball_segment_radical(P[i], Q[i], R[i], delta)
+        assert exact.empty == (balls.lo[i] > balls.hi[i])
+        if exact.empty:
+            continue
+        for got, want in ((balls.lo[i], exact.lo.value()), (balls.hi[i], exact.hi.value())):
+            if min(abs(want), abs(1.0 - want)) > balls.err[i]:
+                assert got == want
+                bitwise += 1
+            else:
+                assert abs(got - want) <= balls.err[i]
+    assert balls.tight.mean() < 0.01
+    return bitwise
+
+
 def test_ball_intervals_decided_entries_match_radical():
     rng = np.random.default_rng(21)
-    for d in (2, 3, 5):
-        starts = rng.normal(size=(40, 1, d)) * 3
-        ends = rng.normal(size=(40, 1, d)) * 3
-        centres = rng.normal(size=(1, 30, d)) * 3
-        delta = 1.5
-        balls = ball_intervals(starts, ends, centres, delta)
-        assert balls.lo.shape == balls.tight.shape == (40, 30)
-        for a in range(40):
-            for c in range(30):
-                exact = ball_segment_radical(starts[a, 0], ends[a, 0], centres[0, c], delta)
-                if balls.tight[a, c]:
-                    continue
-                assert exact.empty == (balls.lo[a, c] > balls.hi[a, c])
-                if not exact.empty:
-                    assert abs(balls.lo[a, c] - exact.lo.value()) <= balls.err[a, c]
-                    assert abs(balls.hi[a, c] - exact.hi.value()) <= balls.err[a, c]
-        assert balls.tight.mean() < 0.01
+    bitwise = 0
+    for scale in (1e-3, 1.0, 1e4):
+        for d in (2, 3, 5):
+            delta = 1.5 * scale
+            # the fill's layout: edges (ne, 1, d) against points (1, N, d)
+            starts, ends = rng.normal(size=(2, 40, 1, d)) * 3 * scale
+            centres = rng.normal(size=(1, 30, d)) * 3 * scale
+            bitwise += _assert_decided_entries_are_radical(starts, ends, centres, delta)
+            # simplification's: one start (d,), ends (w, 1, d), centres (c, d)
+            start = rng.normal(size=d) * 3 * scale
+            ends = rng.normal(size=(12, 1, d)) * 3 * scale
+            centres = rng.normal(size=(25, d)) * 3 * scale
+            bitwise += _assert_decided_entries_are_radical(start, ends, centres, delta)
+            # and the mask's: segments (1, N, d) against vertices (n, 1, d)
+            starts, ends = rng.normal(size=(2, 1, 30, d)) * 3 * scale
+            centres = rng.normal(size=(15, 1, d)) * 3 * scale
+            bitwise += _assert_decided_entries_are_radical(starts, ends, centres, delta)
+    assert bitwise > 2000
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: at tiny delta the quadratic cancels")
+def test_each_edge_midpoint_lies_in_its_own_tiny_ball():
+    # |p + t v - r|^2 - delta^2 cancels to rounding noise at delta = 1e-9 on
+    # unit edges, and the discriminant rounds negative on 11 of the 59 edges
+    V = np.cumsum(np.random.default_rng(0).normal(size=(60, 2)), axis=0)
+    delta = 1e-9
+    empty = [k for k in range(59) if ball_segment_radical(V[k], V[k + 1], (V[k] + V[k + 1]) / 2, delta).empty]
+    assert empty == []
 
 
 def test_ball_intervals_flag_ties():

@@ -71,13 +71,13 @@ def test_grid_index_range_matches_pointwise():
     for _ in range(300):
         g = EdgeGrid.for_edge_length(float(rng.uniform(0.1, 5)), float(rng.uniform(0.05, 1.5)))
         vals = g.values()
-        lo, hi = sorted(rng.uniform(-0.1, 1.1, size=2))
-        r = g.index_range(lo, hi)
-        inside = {j for j, v in enumerate(vals) if lo <= v <= hi}
-        if r is None:
-            assert inside == set()
-        else:
-            assert inside == set(range(r[0], r[1] + 1))
+        assert vals[: g.lattice].tolist() == [j * g.spacing for j in range(g.lattice)]
+        # random bounds, and bounds on grid values, in either order
+        lo, hi = rng.uniform(-0.1, 1.1, size=(2, 8))
+        lo[:3], hi[2:4] = rng.choice(vals, 3), rng.choice(vals, 2)
+        first, last = g.index_range(lo, hi)
+        for a, b, i, k in zip(lo, hi, first, last):
+            assert {j for j, v in enumerate(vals) if a <= v <= b} == set(range(i, k + 1))
 
 
 def test_empty_log_uniform():

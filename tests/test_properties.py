@@ -24,7 +24,7 @@ import subcover.candidates as candidates_module
 from subcover.candidates import (
     Candidate,
     _CurveTables,
-    _dedup_radicals,
+    _distinct,
     _sorted_distinct,
     candidate_segments,
     candidate_set,
@@ -513,8 +513,8 @@ def reference_candidate_set(S: PolyCurve, delta: float) -> list:
             if ep is not None:
                 s_vals.append(ep.s_rad)
                 t_vals.append(ep.t_rad)
-        for s in _dedup_radicals(s_vals):
-            for t in _dedup_radicals(t_vals):
+        for s in _sorted_distinct(s_vals):
+            for t in _sorted_distinct(t_vals):
                 out.append(Candidate(e, s.value(), t.value()))
     return out
 
@@ -594,6 +594,9 @@ def test_rowdot_equals_np_dot_bitwise(d):
     assert rowdot(x, y).tolist() == want
     assert rowdot(x.reshape(40, 100, d), y.reshape(40, 100, d)).ravel().tolist() == want
     assert [rowdot(a, b) for a, b in zip(x[:50], y[:50])] == want[:50]
+    # one vector against many rows, either way round, as broadcast kernels take it
+    assert rowdot(x[0], y).tolist() == [float(np.dot(x[0], b)) for b in y]
+    assert rowdot(x.reshape(40, 1, 100, d), y[0]).ravel().tolist() == [float(np.dot(a, y[0])) for a in x]
 
 
 def _rad_key(iv):
@@ -780,7 +783,7 @@ def test_candidate_fallbacks_run_on_lattice_scenes_and_equal_the_reference():
     # undecided folds, and edges whose dedup the filter cannot settle
     calls = []
     fallbacks = ("capsule_segment_radical_from_dots", "ball_segment_radical_from_dots",
-                 "rad_min", "rad_max", "_dedup_radicals")
+                 "rad_min", "rad_max", "_sorted_distinct")
 
     @PROPERTY
     @given(scenes(max_n=9, snapped=st.just(True)))
@@ -987,13 +990,23 @@ _RADICALS = st.one_of(
 )
 
 
+def _forms(vals) -> np.ndarray:
+    return np.array([(v.a, v.b, v.sign) for v in vals], dtype=float).reshape(-1, 3).T
+
+
 @PROPERTY
 @given(st.lists(_RADICALS, max_size=12), st.data())
-def test_dedup_equals_comparator_sort(vals, data):
-    # repeat some of the same objects, so runs of equal values are common
+def test_distinct_equals_comparator_sort_per_group(vals, data):
+    # repeat some of the same values, so runs of equal values are common
     vals = vals + data.draw(st.lists(st.sampled_from(vals), max_size=6)) if vals else vals
-    got, want = _dedup_radicals(vals), _sorted_distinct(vals)
-    assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
+    group = np.array(data.draw(st.lists(st.integers(0, 2), min_size=len(vals), max_size=len(vals))), dtype=np.int64)
+    g, x = _distinct(group, _forms(vals))
+    want = [
+        (k, v.value().hex())
+        for k in sorted(set(group.tolist()))
+        for v in _sorted_distinct([u for u, h in zip(vals, group.tolist()) if h == k])
+    ]
+    assert list(zip(g.tolist(), [y.hex() for y in x.tolist()])) == want
 
 
 def test_dedup_keeps_the_comparator_sort_of_a_non_transitive_triple():
@@ -1003,5 +1016,6 @@ def test_dedup_keeps_the_comparator_sort_of_a_non_transitive_triple():
     Y = Radical(-0.8309475019311126, 0.6904737509655563)
     Z = Radical(-0.0, 0.0)
     assert Y.eq(Z) and X.eq(Y) and Z.lt(X)
-    got = _dedup_radicals([ONE, ONE, ONE, X, Y, ONE, Z])
-    assert len(got) == 3 and got[0] is X and got[1] is Z and got[2] is ONE
+    vals = [ONE, ONE, ONE, X, Y, ONE, Z]
+    g, x = _distinct(np.zeros(len(vals), dtype=np.int64), _forms(vals))
+    assert g.tolist() == [0, 0, 0] and x.tolist() == [X.value(), Z.value(), ONE.value()]
