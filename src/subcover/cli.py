@@ -110,18 +110,37 @@ class RunConfig:
     verify: bool = False
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
         if self.variant not in ("explicit", "implicit", "greedy"):
             raise ValueError("variant must be explicit, implicit or greedy")
 
 
+def _scaled(P: PolyCurve, shift: int) -> PolyCurve:
+    """P scaled by 2^shift, with its arclength parameters taken again."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        V = np.ldexp(P.vertices, shift)
+        params = arclength_params(V)
+    if not (np.diff(params) > 0.0).all():  # also where V is not finite
+        raise ValueError("the curve does not fit in double precision at the scale of delta")
+    return PolyCurve(V, params)
+
+
 def run(config: RunConfig) -> dict:
-    """End-to-end pipeline; returns the report dictionary."""
+    """End-to-end pipeline; returns the report dictionary.
+
+    The solve runs on the curve and delta scaled by the power of two that
+    puts delta in [1, 2).  That scaling is exact, so the cover is the one
+    at any other scale, without squares that underflow or overflow; the
+    report gives centres in input units.
+    """
     started = time.perf_counter()
-    P = ingest(config.input_path)
+    shift = 1 - math.frexp(config.delta)[1]
+    delta = math.ldexp(config.delta, shift)
+    P_in = ingest(config.input_path)
+    P = _scaled(P_in, shift)
     ingested = time.perf_counter()
-    simp = simplify_curve(P, config.delta)
+    simp = simplify_curve(P, delta)
     S = _promote_single_vertex(simp.curve)
     simplified = time.perf_counter()
     cfg = SolverConfig(
@@ -131,19 +150,19 @@ def run(config: RunConfig) -> dict:
     )
     failure = None
     if config.variant == "implicit":
-        guarantee = 12.0 * config.delta
+        factor = 12.0
         try:
-            result = implicit_approx_cover(P, config.delta, cfg, simplification=simp)
+            result = implicit_approx_cover(P, delta, cfg, simplification=simp)
         except SolverFailure as exc:
             failure, result = exc, None
     elif config.variant == "greedy":
-        guarantee = 11.0 * config.delta
-        B = candidate_set(S, config.delta)
-        result = greedy_max_coverage(S, B, 8.0 * config.delta, max(len(B), 1))
+        factor = 11.0
+        B = candidate_set(S, delta)
+        result = greedy_max_coverage(S, B, 8.0 * delta, max(len(B), 1))
     else:
-        guarantee = 11.0 * config.delta
+        factor = 11.0
         try:
-            result = approx_cover(P, config.delta, cfg, simplification=simp)
+            result = approx_cover(P, delta, cfg, simplification=simp)
         except SolverFailure as exc:
             failure, result = exc, None
     solved = time.perf_counter()
@@ -160,7 +179,7 @@ def run(config: RunConfig) -> dict:
         "delta": config.delta,
         "variant": config.variant,
         "seed": config.seed,
-        "guarantee_radius": guarantee,
+        "guarantee_radius": factor * config.delta,
         "n_vertices": P.n,
         "n_simplified": S.n,
     }
@@ -170,7 +189,8 @@ def run(config: RunConfig) -> dict:
         report["diagnostics"] = failure.diagnostics
     else:
         centers = result.center_segments(S)
-        coverage = full_coverage(_promote_single_vertex(P), centers, guarantee)
+        coverage = full_coverage(_promote_single_vertex(P), centers, factor * delta)
+        centers = [Segment(np.ldexp(q.start, -shift), np.ldexp(q.end, -shift)) for q in centers]
         verdict = "SKIPPED"
         if config.verify:
             verdict = "PASS" if covers_unit(coverage) else "FAILED"
@@ -200,7 +220,7 @@ def run(config: RunConfig) -> dict:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
     if config.output_svg_path and failure is None:
-        render_svg(P, centers, coverage, config.output_svg_path)
+        render_svg(PolyCurve(P_in.vertices, P.vertex_params), centers, coverage, config.output_svg_path)
     return report
 
 
@@ -271,18 +291,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap.add_argument("--verify", action="store_true", help="check the cover on the input curve")
     args = ap.parse_args(argv)
 
-    config = RunConfig(
-        input_path=args.input,
-        delta=args.delta,
-        variant=args.variant,
-        seed=args.seed,
-        gamma_override=args.gamma,
-        output_json_path=args.out,
-        output_svg_path=args.svg,
-        verify=args.verify,
-    )
     try:
-        report = run(config)
+        report = run(RunConfig(
+            input_path=args.input,
+            delta=args.delta,
+            variant=args.variant,
+            seed=args.seed,
+            gamma_override=args.gamma,
+            output_json_path=args.out,
+            output_svg_path=args.svg,
+            verify=args.verify,
+        ))
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

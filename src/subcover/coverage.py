@@ -9,7 +9,6 @@ same convention is used by every operation here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -211,32 +210,6 @@ def is_feasible(Q: Segment, S: PolyCurve, t: EdgePoint, delta: float) -> bool:
 # feasible-set rectangles
 
 
-@dataclass(frozen=True)
-class FeasibleRectSet:
-    """Union of axis-aligned rectangles in the candidate square of one edge.
-
-    A candidate subsegment (alpha, beta) of the edge covers the query point
-    iff (alpha, beta) lies in one of the rectangles.  Forward and reversed
-    orientations contribute separate rectangles.
-    """
-
-    edge_index: int
-    rects: Tuple[Tuple[float, float, float, float], ...]  # (a1, a2, b1, b2)
-
-    def contains(self, alpha: float, beta: float) -> bool:
-        return any(a1 <= alpha <= a2 and b1 <= beta <= b2 for a1, a2, b1, b2 in self.rects)
-
-    def boundary_distance(self, alpha: float, beta: float) -> float:
-        """Distance from the point to the nearest rectangle boundary line."""
-        best = np.inf
-        for a1, a2, b1, b2 in self.rects:
-            for v in (a1, a2):
-                best = min(best, abs(alpha - v))
-            for v in (b1, b2):
-                best = min(best, abs(beta - v))
-        return float(best)
-
-
 def _window_rect(
     S: PolyCurve,
     row: FreeSpaceRow,
@@ -295,8 +268,12 @@ def _window_rect(
     return (alpha1, alpha2, beta1, beta2)
 
 
-def feasible_rectangles(S: PolyCurve, t: EdgePoint, edge: int, delta: float) -> FeasibleRectSet:
-    """Rectangles of candidate parameters on the edge that cover t.
+def feasible_rectangles(
+    S: PolyCurve, t: EdgePoint, edge: int, delta: float
+) -> Tuple[Tuple[float, float, float, float], ...]:
+    """Rectangles (a1, a2, b1, b2) of candidate parameters on the edge that
+    cover t: a subsegment (alpha, beta) of the edge covers t iff it lies in
+    one of them.
 
     Per window the construction runs twice: against the edge as given and
     against the reversed edge with parameters mirrored back, which yields the
@@ -330,7 +307,7 @@ def feasible_rectangles(S: PolyCurve, t: EdgePoint, edge: int, delta: float) -> 
             quad = (a1.value(), a2.value(), b1.value(), b2.value())
             if quad not in rects:
                 rects.append(quad)
-    return FeasibleRectSet(edge, tuple(rects))
+    return tuple(rects)
 
 
 # ---------------------------------------------------------------------------

@@ -69,11 +69,6 @@ class RadInterval:
         hi = rad_min(self.hi, ONE)
         return RadInterval(lo, hi)
 
-    def affine(self, scale: float, offset: float) -> "RadInterval":
-        if self.empty:
-            return self
-        return RadInterval(self.lo.affine(scale, offset), self.hi.affine(scale, offset))
-
     def to_interval(self) -> Interval:
         if self.empty:
             return Interval.empty()

@@ -186,7 +186,7 @@ class EdgeArrangement:
             doubled, added = [], 0
             reach = self._in_reach(t)
             for e, (grid, c) in enumerate(zip(self.grids, self.cells), start=1):
-                rects = feasible_rectangles(self.S, t, e, self.feas_delta).rects if reach[e - 1] else ()
+                rects = feasible_rectangles(self.S, t, e, self.feas_delta) if reach[e - 1] else ()
                 xa, xb, ya, yb = _rects_to_index(grid, rects) if rects else np.empty((4, 0), dtype=np.int64)
                 if not xa.size:
                     doubled.append(c)

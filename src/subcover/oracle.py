@@ -4,60 +4,95 @@ Everything here favors transparency over speed: dense grids, exhaustive
 subset enumeration, textbook reachability.  None of it reuses the decision
 logic of the module it is meant to validate.  The exception to "transparency
 over speed" is ``full_coverage``, which checks every CLI solve: it runs on
-arrays, and its loop form is the tests' reference.
+arrays, and its loop form is the tests' reference.  Every float ball interval
+here is one clamped quadratic, ``_clamped_roots``, on its caller's dots.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+import math
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .freespace import decide_frechet_subcurve_segment
+from .coverage import candidate_coverage_intervals, covers_unit, window_set
+from .freespace import _t_in_window, decide_frechet_subcurve_segment, psi_ij_contains
 from .geometry import BLOCK_ENTRIES, EdgePoint, Interval, PolyCurve, Segment, rowdot
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    grid_step: float = 1e-3
-    max_subset_size: int = 20
-    bisection_tol: float = 1e-7
+# ---------------------------------------------------------------------------
+# ball intervals
 
-    def __post_init__(self):
-        if self.grid_step <= 0 or self.max_subset_size <= 0 or self.bisection_tol <= 0:
-            raise ValueError("budget values must be positive")
+
+def _clamped_roots(aa, bb, cc):
+    """(lo, hi) arrays: where aa x^2 + bb x + cc <= 0 within [0, 1]; empty
+    is (inf, -inf).  aa == 0 means a point, inside on all of [0, 1] when
+    cc <= 0.  Callers pass their own dot products."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = bb * bb - 4 * aa * cc
+        root = np.sqrt(np.maximum(disc, 0.0))
+        lo = np.maximum((-bb - root) / (2 * aa), 0.0)
+        hi = np.minimum((-bb + root) / (2 * aa), 1.0)
+    bad = (disc < 0) | (lo > hi)
+    point = aa == 0.0
+    inside = cc <= 0
+    lo = np.where(point, np.where(inside, 0.0, np.inf), np.where(bad, np.inf, lo))
+    hi = np.where(point, np.where(inside, 1.0, -np.inf), np.where(bad, -np.inf, hi))
+    return lo, hi
+
+
+def _sumdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products of the last axis as ``(x * y).sum`` takes them, the bits
+    ``full_coverage`` and its reference loop use; ``rowdot`` gives np.dot's."""
+    return (x * y).sum(axis=-1)
+
+
+def _edge_balls(V: np.ndarray, centres: np.ndarray, dd: float, dot=_sumdot):
+    """(lo, hi), each (centres, edges): the clamped parameter interval of
+    every edge of the vertex array V inside every centre's ball."""
+    E0, E1 = V[:-1], V[1:]
+    v = E1 - E0
+    w = E0[None, :, :] - centres[:, None, :]
+    return _clamped_roots(dot(v, v), 2.0 * dot(v, w), dot(w, w) - dd)
 
 
 # ---------------------------------------------------------------------------
 # Frechet distance brackets
 
 
-def frechet_value_bracket(
-    P: PolyCurve, a: EdgePoint, b: EdgePoint, seg: Segment, tol: float
-) -> Interval:
-    """[lo, hi] with hi - lo <= tol bracketing d_F(P[a,b], seg).
-
-    The decision is false at lo and true at hi (lo may be 0 when the
-    distance itself is 0).
-    """
-    if tol <= 0:
+def _bisect(decide: Callable[[float], bool], hi: float, tol: float) -> Interval:
+    """[lo, hi] around the least radius at which ``decide`` holds: decide is
+    false at lo (or lo is 0) and true at hi, and hi - lo <= tol or no float
+    lies between them.  ``hi`` starts as an upper bound up to rounding."""
+    if not tol > 0:
         raise ValueError("tol must be positive")
-    hi = _upper_bound_subcurve(P, a, b, seg)
-    if decide_frechet_subcurve_segment(P, a, b, seg, 0.0):
+    if decide(0.0):
         return Interval(0.0, min(tol, hi))
     lo = 0.0
     hi = max(hi, tol)
-    while not decide_frechet_subcurve_segment(P, a, b, seg, hi):
-        hi *= 1.0 + 1e-9
+    while not decide(hi):
+        hi = max(hi * (1.0 + 1e-9), math.nextafter(hi, math.inf))
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if decide_frechet_subcurve_segment(P, a, b, seg, mid):
+        if not lo < mid < hi:
+            break
+        if decide(mid):
             hi = mid
         else:
             lo = mid
     return Interval(lo, hi)
+
+
+def frechet_value_bracket(
+    P: PolyCurve, a: EdgePoint, b: EdgePoint, seg: Segment, tol: float
+) -> Interval:
+    """[lo, hi] bracketing d_F(P[a,b], seg), as ``_bisect`` gives it."""
+    return _bisect(
+        lambda r: decide_frechet_subcurve_segment(P, a, b, seg, r),
+        _upper_bound_subcurve(P, a, b, seg),
+        tol,
+    )
 
 
 def _upper_bound_subcurve(P: PolyCurve, a: EdgePoint, b: EdgePoint, seg: Segment) -> float:
@@ -72,24 +107,6 @@ def _upper_bound_subcurve(P: PolyCurve, a: EdgePoint, b: EdgePoint, seg: Segment
             float(np.linalg.norm(p - seg.end)),
         )
     return worst
-
-
-def _ball_lohi(s0: np.ndarray, s1: np.ndarray, c: np.ndarray, dd: float) -> Tuple[float, float]:
-    """Clamped parameter interval of segment s0->s1 inside the squared-radius ball."""
-    v = s1 - s0
-    w = s0 - c
-    aa = float(np.dot(v, v))
-    if aa == 0.0:
-        return (0.0, 1.0) if float(np.dot(w, w)) <= dd else (np.inf, -np.inf)
-    bb = 2.0 * float(np.dot(v, w))
-    cc = float(np.dot(w, w)) - dd
-    disc = bb * bb - 4 * aa * cc
-    if disc < 0:
-        return (np.inf, -np.inf)
-    root = disc**0.5
-    lo = max((-bb - root) / (2 * aa), 0.0)
-    hi = min((-bb + root) / (2 * aa), 1.0)
-    return (lo, hi) if lo <= hi else (np.inf, -np.inf)
 
 
 def curve_frechet_decision(P: PolyCurve, Q: PolyCurve, delta: float) -> bool:
@@ -109,30 +126,14 @@ def curve_frechet_decision(P: PolyCurve, Q: PolyCurve, delta: float) -> bool:
     # reachable boundary sets are upward-closed within the free interval)
     rl = np.full((ne + 2, me + 2), INF)  # left boundary of cell (i, j)
     rb = np.full((ne + 2, me + 2), INF)  # bottom boundary of cell (i, j)
-    lf_cache = {}
-    bf_cache = {}
 
-    def lfree(i: int, j: int) -> Tuple[float, float]:
-        key = (i, j)
-        got = lf_cache.get(key)
-        if got is None:
-            got = _ball_lohi(QV[j - 1], QV[j], PV[i - 1], dd)
-            lf_cache[key] = got
-        return got
-
-    def bfree(i: int, j: int) -> Tuple[float, float]:
-        key = (i, j)
-        got = bf_cache.get(key)
-        if got is None:
-            got = _ball_lohi(PV[i - 1], PV[i], QV[j - 1], dd)
-            bf_cache[key] = got
-        return got
-
-    l0 = lfree(1, 1)
-    if l0[0] <= 0.0 <= l0[1]:
+    # free intervals: l_*[i - 1][j - 1] on the left side of cell (i, j),
+    # b_*[j - 1][i - 1] on its bottom side
+    l_lo, l_hi = (x.tolist() for x in _edge_balls(QV, PV, dd, rowdot))
+    b_lo, b_hi = (x.tolist() for x in _edge_balls(PV, QV, dd, rowdot))
+    if l_lo[0][0] <= 0.0 <= l_hi[0][0]:
         rl[1, 1] = 0.0
-    b0 = bfree(1, 1)
-    if b0[0] <= 0.0 <= b0[1]:
+    if b_lo[0][0] <= 0.0 <= b_hi[0][0]:
         rb[1, 1] = 0.0
     for i in range(1, ne + 1):
         for j in range(1, me + 1):
@@ -141,7 +142,7 @@ def curve_frechet_decision(P: PolyCurve, Q: PolyCurve, delta: float) -> bool:
                 continue
             if i == ne and j == me:
                 return True
-            flo, fhi = lfree(i + 1, j)
+            flo, fhi = l_lo[i][j - 1], l_hi[i][j - 1]
             if flo <= fhi:
                 if cb < INF:
                     rl[i + 1, j] = min(rl[i + 1, j], flo)
@@ -149,7 +150,7 @@ def curve_frechet_decision(P: PolyCurve, Q: PolyCurve, delta: float) -> bool:
                     lo = max(flo, cl)
                     if lo <= fhi:
                         rl[i + 1, j] = min(rl[i + 1, j], lo)
-            flo, fhi = bfree(i, j + 1)
+            flo, fhi = b_lo[j][i - 1], b_hi[j][i - 1]
             if flo <= fhi:
                 if cl < INF:
                     rb[i, j + 1] = min(rb[i, j + 1], flo)
@@ -161,22 +162,10 @@ def curve_frechet_decision(P: PolyCurve, Q: PolyCurve, delta: float) -> bool:
 
 
 def curve_frechet_bracket(P: PolyCurve, Q: PolyCurve, tol: float) -> Interval:
-    """[lo, hi] with hi - lo <= tol bracketing the two-curve Frechet distance."""
+    """[lo, hi] bracketing the two-curve Frechet distance, as ``_bisect`` gives it."""
     pts = np.vstack([P.vertices, Q.vertices])
     hi = float(np.max(np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)))
-    if curve_frechet_decision(P, Q, 0.0):
-        return Interval(0.0, min(tol, hi))
-    lo = 0.0
-    hi = max(hi, tol)
-    while not curve_frechet_decision(P, Q, hi):
-        hi *= 1.0 + 1e-9
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if curve_frechet_decision(P, Q, mid):
-            hi = mid
-        else:
-            lo = mid
-    return Interval(lo, hi)
+    return _bisect(lambda r: curve_frechet_decision(P, Q, r), hi, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +222,6 @@ def psi_contains_brute(
 # ---------------------------------------------------------------------------
 # coverage oracles
 
-from .coverage import covers_unit  # noqa: E402
-
 
 def full_coverage(P: PolyCurve, C: Sequence[Segment], delta: float) -> List[Interval]:
     """Union of coverage intervals over all edge windows 1 <= i <= j <= n-1.
@@ -268,8 +255,9 @@ def _start_windows(P: PolyCurve, starts: np.ndarray, ends: np.ndarray, dd: float
     starting there, for the centres that have one."""
     V = P.vertices
     ne = P.num_edges
-    bot_ok, bot_lo, _ = _edge_balls(V, starts, dd)
-    top_ok, _, top_hi = _edge_balls(V, ends, dd)
+    bot_lo, bot_hi = _edge_balls(V, starts, dd)
+    top_lo, top_hi = _edge_balls(V, ends, dd)
+    bot_ok, top_ok = bot_lo <= bot_hi, top_lo <= top_hi
     c_lo, c_hi = _vertex_intervals(V[1:-1], starts, ends, dd)
     params = P.vertex_params
     widths = np.diff(params)
@@ -298,48 +286,13 @@ def _start_windows(P: PolyCurve, starts: np.ndarray, ends: np.ndarray, dd: float
     return lo_row[keep], best[keep]
 
 
-def _edge_balls(V: np.ndarray, centres: np.ndarray, dd: float):
-    """(ok, lo, hi), each (centres, edges): the clamped parameter interval of
-    every edge of the vertex array V inside every centre's ball."""
-    E0, E1 = V[:-1], V[1:]
-    v = E1 - E0
-    w = E0[None, :, :] - centres[:, None, :]
-    aa = (v * v).sum(axis=-1)
-    bb = 2.0 * (v * w).sum(axis=-1)
-    cc = (w * w).sum(axis=-1) - dd
-    disc = bb * bb - 4 * aa * cc
-    safe = np.where(aa == 0, 1.0, aa)
-    root = np.sqrt(np.maximum(disc, 0.0))
-    lo = np.maximum((-bb - root) / (2 * safe), 0.0)
-    hi = np.minimum((-bb + root) / (2 * safe), 1.0)
-    degen = aa == 0
-    inside = cc <= 0
-    lo = np.where(degen, 0.0, lo)
-    hi = np.where(degen, 1.0, hi)
-    ok = np.where(degen, inside, (disc >= 0) & (lo <= hi))
-    return ok, lo, hi
-
-
 def _vertex_intervals(W: np.ndarray, starts: np.ndarray, ends: np.ndarray, dd: float):
     """(lo, hi), each (centres, vertices): the clamped parameter interval of
-    every centre within reach of every vertex of W; empty is (inf, -inf)."""
+    every centre within reach of every vertex of W."""
     sv = ends - starts
     aa = rowdot(sv, sv)[:, None]
     w = W[None, :, :] - starts[:, None, :]
-    ww = (w * w).sum(axis=-1)
-    bb = -2.0 * (w * sv[:, None, :]).sum(axis=-1)
-    cc = ww - dd
-    with np.errstate(divide="ignore", invalid="ignore"):
-        disc = bb * bb - 4 * aa * cc
-        root = np.sqrt(np.maximum(disc, 0.0))
-        lo = np.maximum((-bb - root) / (2 * aa), 0.0)
-        hi = np.minimum((-bb + root) / (2 * aa), 1.0)
-    bad = (disc < 0) | (lo > hi)
-    point = aa == 0.0  # a point centre: its whole parameter range or nothing
-    inside = ww <= dd
-    lo = np.where(point, np.where(inside, 0.0, np.inf), np.where(bad, np.inf, lo))
-    hi = np.where(point, np.where(inside, 1.0, -np.inf), np.where(bad, -np.inf, hi))
-    return lo, hi
+    return _clamped_roots(aa, -2.0 * _sumdot(w, sv[:, None, :]), _sumdot(w, w) - dd)
 
 
 def _merged(lo: np.ndarray, hi: np.ndarray) -> List[Interval]:
@@ -356,12 +309,11 @@ def _merged(lo: np.ndarray, hi: np.ndarray) -> List[Interval]:
 
 
 def min_cover_exhaustive(
-    S: PolyCurve, B: Sequence, delta: float, budget: OracleBudget = OracleBudget()
+    S: PolyCurve, B: Sequence, delta: float, max_subset_size: int = 20
 ) -> Optional[int]:
-    """Smallest subset of B whose structured coverage is [0,1]; None if over budget."""
-    from .coverage import candidate_coverage_intervals
-
-    if len(B) > budget.max_subset_size:
+    """Smallest subset of B whose structured coverage is [0,1]; None when B
+    has more than ``max_subset_size`` candidates or no subset covers."""
+    if len(B) > max_subset_size:
         return None
     segs = [c.segment(S) if hasattr(c, "segment") else c for c in B]
     per = [candidate_coverage_intervals(S, s, delta) for s in segs]
@@ -384,9 +336,6 @@ def grid_feasibility(
     Brute force through the window membership predicate; independent of the
     rectangle construction it validates.
     """
-    from .coverage import window_set
-    from .freespace import _t_in_window, psi_ij_contains
-
     if step <= 0:
         raise ValueError("step must be positive")
     e = S.edge(edge)

@@ -362,6 +362,46 @@ def test_main_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+def _wave(k):
+    """The 60-point curve (20t, sin 8t) scaled by 2^k."""
+    t = np.linspace(0.0, 1.0, 60)
+    return np.ldexp(np.c_[20.0 * t, np.sin(8.0 * t)], k)
+
+
+@pytest.mark.parametrize("delta", ["0", "-1", "nan", "inf", "1e160"])
+def test_main_at_extreme_deltas(tmp_path, capsys, delta):
+    path = str(tmp_path / "wave.txt")
+    np.savetxt(path, _wave(0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["--input", path, "--delta", delta, "--verify"])
+    out, err = capsys.readouterr()
+    if delta == "1e160":  # the whole curve lies within delta of one point
+        assert code == 0 and json.loads(out)["n_centers"] == 1
+    else:
+        assert code == 2 and err == "error: delta must be positive and finite\n", err
+
+
+@pytest.mark.parametrize("k", [-660, -60, 0, 60, 500])
+def test_scaled_curves_give_the_unscaled_cover(tmp_path, k):
+    # power-of-two scaling is exact; the solve's squares under- or overflow
+    # at the far ends unless it runs at one scale
+    reports = []
+    for shift in (0, k):
+        path = str(tmp_path / f"wave{shift}.txt")
+        np.savetxt(path, _wave(shift), fmt="%.17g")
+        reports.append(run(RunConfig(input_path=path, delta=np.ldexp(0.5, shift), verify=True)))
+    base, got = reports
+    assert base["verdict"] == "PASS" and base["n_centers"] == 3
+    assert got["delta"] == np.ldexp(base["delta"], k)
+    assert got["guarantee_radius"] == np.ldexp(base["guarantee_radius"], k)
+    assert got["centers"] == np.ldexp(base["centers"], k).tolist()
+    skip = {"input", "delta", "guarantee_radius", "centers", "stage_s", "wall_time_s"}
+    assert {key: v for key, v in got.items() if key not in skip} == {
+        key: v for key, v in base.items() if key not in skip
+    }
+
+
 def test_failed_run_writes_report_with_diagnostics(tmp_path, monkeypatch):
     def fail(*args, **kwargs):
         raise SolverFailure("target size cap exceeded", {"max_k": 4, "rounds": 7})

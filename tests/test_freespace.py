@@ -10,7 +10,7 @@ from subcover.freespace import (
     psi_ij_contains,
 )
 from subcover.geometry import EdgePoint, PolyCurve, Segment, curve_from_points
-from subcover.oracle import frechet_value_bracket, psi_contains_brute
+from subcover.oracle import curve_frechet_bracket, frechet_value_bracket, psi_contains_brute
 
 
 def whole(P):
@@ -116,6 +116,23 @@ def test_decide_agrees_with_bracket():
     a, b = whole(P)
     iv = frechet_value_bracket(P, a, b, Segment((0, 1), (1, 1)), 1e-9)
     assert iv.lo <= 1.0 <= iv.hi + 1e-9
+
+
+def test_brackets_reject_tol_zero_and_end_where_no_float_lies_between():
+    P = curve_from_points([(0, 0), (1, 0), (2, 0.5)])
+    Q = curve_from_points([(0, 0.3), (2, 0.3)])
+    a, b = whole(P)
+    seg = Segment(Q.vertex(1), Q.vertex(2))
+    brackets = (
+        lambda tol: frechet_value_bracket(P, a, b, seg, tol),
+        lambda tol: curve_frechet_bracket(P, Q, tol),
+    )
+    for bracket in brackets:
+        with pytest.raises(ValueError):
+            bracket(0.0)
+        iv = bracket(1e-300)
+        assert 0.0 < iv.lo < iv.hi == np.nextafter(iv.lo, np.inf)
+        assert abs(iv.hi - bracket(1e-9).hi) <= 1e-9
 
 
 def test_psi_exact_overlay():

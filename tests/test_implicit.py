@@ -29,7 +29,7 @@ def explicit_weights(arr, log):
     rect_sets = []
     for t in log:
         rect_sets.append(
-            {e: feasible_rectangles(S, t, e, arr.feas_delta).rects for e in range(1, S.num_edges + 1)}
+            {e: feasible_rectangles(S, t, e, arr.feas_delta) for e in range(1, S.num_edges + 1)}
         )
     for e in range(1, S.num_edges + 1):
         grid = arr.grids[e - 1]
@@ -128,7 +128,7 @@ def test_feasible_weight_matches_explicit():
         # explicit feasible weight: sum of weights over rect-feasible candidates
         want = 0
         for e in range(1, S.num_edges + 1):
-            rects = feasible_rectangles(S, t, e, 2.0 * delta).rects
+            rects = feasible_rectangles(S, t, e, 2.0 * delta)
             vals = arr.grids[e - 1].values()
             for xi, a in enumerate(vals):
                 for yi, b in enumerate(vals):
@@ -214,7 +214,7 @@ def test_edges_out_of_reach_have_no_feasible_rectangles():
         for t in log:
             for e in np.flatnonzero(~arr._in_reach(t)).tolist():
                 skipped += 1
-                assert feasible_rectangles(S, t, e + 1, radius).rects == (), (t, e + 1)
+                assert feasible_rectangles(S, t, e + 1, radius) == (), (t, e + 1)
     assert skipped > 0
 
 

@@ -720,7 +720,7 @@ def test_feasible_rectangles_equal_the_whole_curve_reference(scene, factor, loca
             t = EdgePoint(ip, u)
             for edge in range(1, S.n):
                 got = feasible_rectangles(S, t, edge, radius)
-                assert got.rects == reference_feasible_rectangles(S, t, edge, radius), (ip, u, edge)
+                assert got == reference_feasible_rectangles(S, t, edge, radius), (ip, u, edge)
 
 
 def _table_key(table, k):

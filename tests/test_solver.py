@@ -23,7 +23,7 @@ from subcover.coverage import (
 )
 from subcover.geometry import Interval, PolyCurve, Segment, curve_from_points
 from subcover.implicit import implicit_approx_cover
-from subcover.oracle import OracleBudget, covers_unit as oracle_covers, full_coverage, min_cover_exhaustive
+from subcover.oracle import covers_unit as oracle_covers, full_coverage, min_cover_exhaustive
 from subcover.simplify import simplify_curve
 from subcover.solver import (
     CoverResult,
@@ -445,7 +445,7 @@ def test_greedy_submodular_ratio_against_exhaustive():
     # two disjoint halves, each needs its own candidate
     S = curve_from_points([(0, 0), (10, 0)])
     B = [Candidate(1, 0.0, 0.5), Candidate(1, 0.5, 1.0), Candidate(1, 0.4, 0.6)]
-    k_star = min_cover_exhaustive(S, B, 0.3, OracleBudget())
+    k_star = min_cover_exhaustive(S, B, 0.3)
     assert k_star == 2
     res = greedy_max_coverage(S, B, 0.3, 2)
     segs = res.center_segments(S)
