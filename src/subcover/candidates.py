@@ -25,7 +25,6 @@ that of one ``freespace.extremal_points`` call per close subcurve and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import List, NamedTuple, Sequence, Set, Tuple
 
@@ -50,8 +49,7 @@ from .radicals import Radical, rad_max, rad_min
 MAX_SUBCURVE_SPAN = 4  # vertices forward from the start vertex
 
 
-@dataclass(frozen=True, order=True)
-class GeneratingSubcurve:
+class GeneratingSubcurve(NamedTuple):
     start_vertex: int
     end_vertex: int
 
@@ -59,15 +57,13 @@ class GeneratingSubcurve:
         return range(self.start_vertex, self.end_vertex)
 
 
-@dataclass(frozen=True, order=True)
-class GeneratingTriple:
+class GeneratingTriple(NamedTuple):
     edge: int
     y1: GeneratingSubcurve
     y2: GeneratingSubcurve
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """Subsegment of a simplification edge; beta < alpha means reversed."""
 
     edge_index: int

@@ -12,8 +12,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -98,8 +97,7 @@ def write_curve(P: PolyCurve, path: str) -> None:
         fh.write("".join(" ".join(f"{x:.17g}" for x in v) + "\n" for v in P.vertices.tolist()))
 
 
-@dataclass
-class RunConfig:
+class _RunConfigFields(NamedTuple):
     input_path: str
     delta: float
     variant: str = "explicit"
@@ -109,11 +107,17 @@ class RunConfig:
     output_svg_path: Optional[str] = None
     verify: bool = False
 
-    def __post_init__(self):
+
+class RunConfig(_RunConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "RunConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.delta < math.inf:
             raise ValueError("delta must be positive and finite")
         if self.variant not in ("explicit", "implicit", "greedy"):
             raise ValueError("variant must be explicit, implicit or greedy")
+        return self
 
 
 def _scaled(P: PolyCurve, shift: int) -> PolyCurve:
@@ -173,13 +177,14 @@ def run(config: RunConfig) -> dict:
         "solve": solved - simplified,
     }
 
+    radius = factor * config.delta  # in input units; overflows near the largest floats
     report = {
         "schema": 2,
         "input": config.input_path,
         "delta": config.delta,
         "variant": config.variant,
         "seed": config.seed,
-        "guarantee_radius": factor * config.delta,
+        "guarantee_radius": radius if math.isfinite(radius) else None,
         "n_vertices": P.n,
         "n_simplified": S.n,
     }
@@ -217,7 +222,7 @@ def run(config: RunConfig) -> dict:
 
     if config.output_json_path:
         with open(config.output_json_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+            json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     if config.output_svg_path and failure is None:
         render_svg(PolyCurve(P_in.vertices, P.vertex_params), centers, coverage, config.output_svg_path)
@@ -305,7 +310,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
     if report["verdict"] == "FAILED":
         return 1
     return 0

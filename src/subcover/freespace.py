@@ -16,8 +16,7 @@ interval is made from them when first read: bit for bit the per-cell
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -261,8 +260,7 @@ def _slice_endpoint(seg: Segment, point: np.ndarray, delta: float, want_lo: bool
     return Radical.exact(min(max(u, 0.0), 1.0))
 
 
-@dataclass(frozen=True)
-class ExtremalPair:
+class ExtremalPair(NamedTuple):
     """Optimal subsegment parameters (s, t) of a segment against a curve.
 
     s > t is allowed and denotes a reversed subsegment.

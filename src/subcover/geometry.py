@@ -12,7 +12,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -24,8 +23,7 @@ from .radicals import ONE, ZERO, Radical, rad_max, rad_min
 # intervals
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     lo: float = math.inf
     hi: float = -math.inf
 
@@ -93,14 +91,12 @@ def as_point(p: Sequence[float]) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
 class Segment:
-    start: np.ndarray
-    end: np.ndarray
+    __slots__ = ("start", "end")
 
     def __init__(self, start: Sequence[float], end: Sequence[float]):
-        object.__setattr__(self, "start", as_point(start))
-        object.__setattr__(self, "end", as_point(end))
+        self.start = as_point(start)
+        self.end = as_point(end)
         if self.start.shape != self.end.shape:
             raise ValueError("segment endpoints must share a dimension")
 
@@ -109,8 +105,8 @@ class Segment:
         """A segment on endpoints already known to be finite, flat and of
         one dimension, such as two vertices of a ``PolyCurve``."""
         seg = object.__new__(cls)
-        object.__setattr__(seg, "start", start)
-        object.__setattr__(seg, "end", end)
+        seg.start = start
+        seg.end = end
         return seg
 
     def direction(self) -> np.ndarray:
@@ -123,19 +119,23 @@ class Segment:
         return (1.0 - t) * self.start + t * self.end
 
     def reversed(self) -> "Segment":
-        return Segment(self.end, self.start)
+        return Segment._unchecked(self.end, self.start)
 
 
-@dataclass(frozen=True)
-class EdgePoint:
-    """A point on a curve given as (edge index, local parameter in [0,1])."""
-
+class _EdgePointFields(NamedTuple):
     edge_index: int
     local: float
 
-    def __post_init__(self):
-        if not 0.0 <= self.local <= 1.0:
+
+class EdgePoint(_EdgePointFields):
+    """A point on a curve given as (edge index, local parameter in [0,1])."""
+
+    __slots__ = ()
+
+    def __new__(cls, edge_index: int, local: float) -> "EdgePoint":
+        if not 0.0 <= local <= 1.0:
             raise ValueError("local parameter must lie in [0,1]")
+        return super().__new__(cls, edge_index, local)
 
 
 class PolyCurve:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import copy
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -42,8 +41,7 @@ from .solver import CoverResult, SolverConfig, doubling_search, search_curve
 _INT64_TOTAL = 2**62
 
 
-@dataclass(frozen=True)
-class EdgeGrid:
+class EdgeGrid(NamedTuple):
     """Uniform parameter grid on one edge: multiples of spacing plus the point 1."""
 
     spacing: float

@@ -32,8 +32,7 @@ cannot decide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 import numpy as np
 
@@ -49,8 +48,7 @@ from .geometry import (
 )
 
 
-@dataclass(frozen=True)
-class Simplification:
+class Simplification(NamedTuple):
     source: PolyCurve
     indices: tuple  # strictly increasing 1-based vertex indices of source
     curve: PolyCurve  # vertices at those indices, params rescaled to [0,1]

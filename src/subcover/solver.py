@@ -47,8 +47,7 @@ input, is rechecked on what is returned, not assumed.  The greedy baseline,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Sequence
+from typing import Dict, List, NamedTuple, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -74,8 +73,7 @@ def default_gamma(d: int) -> int:
     return GAMMA_SLOPE * d + GAMMA_OFFSET
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(NamedTuple):
     gamma: Optional[int] = None  # default: 110*d + 412
     rng_seed: int = 0
     max_k: int = 2**20
@@ -118,7 +116,6 @@ class Weighting(Protocol):
         """log2 of the total weight, for the growth bound."""
 
 
-@dataclass
 class ExplicitDist:
     """Weights over an explicit candidate list; candidate number i is candidates[i].
 
@@ -130,18 +127,24 @@ class ExplicitDist:
     ``feasible_weight`` and ``rebuilt_with`` read it.
     """
 
-    candidates: List[Candidate]
-    weights: np.ndarray
-    cache: Optional["_CoverageCache"] = None
-    total: float = field(init=False)
-    log2_scale: float = 0.0
+    __slots__ = ("candidates", "weights", "cache", "total", "log2_scale", "_feasible")
 
-    def __post_init__(self):
-        if len(self.candidates) == 0:
+    def __init__(
+        self,
+        candidates: List[Candidate],
+        weights: np.ndarray,
+        cache: Optional["_CoverageCache"] = None,
+        log2_scale: float = 0.0,
+    ):
+        if len(candidates) == 0:
             raise ValueError("empty candidate set")
-        if np.any(self.weights <= 0):
+        if np.any(weights <= 0):
             raise ValueError("weights must be positive")
-        self.total = float(self.weights.sum())
+        self.candidates = candidates
+        self.weights = weights
+        self.cache = cache
+        self.total = float(weights.sum())
+        self.log2_scale = log2_scale
         self._feasible = (None, None)  # the last witness queried and its feasible set
 
     @staticmethod
@@ -207,8 +210,7 @@ def sample_indices(dist: ExplicitDist, count: int, rng: np.random.Generator) -> 
     return rng.multinomial(count, dist.weights / dist.total)
 
 
-@dataclass
-class CoverResult:
+class _CoverResultFields(NamedTuple):
     centers: List[Candidate]
     k_found: int
     iterations: int
@@ -221,25 +223,36 @@ class CoverResult:
     # already computed
     coverage_filled: int = 0
     coverage_cache_hits: int = 0
-    # the feasible-set mass at each proper update, in order
-    feasible_mass: List[float] = field(default_factory=list)
+    # the feasible-set mass at each proper update, in order (a list of its
+    # own in every result, empty when not given)
+    feasible_mass: Optional[List[float]] = None
     # explicit solves: how the feasibility queries were answered
     # (``_CoverageCache.feasibility``); None for the other searches
     feasibility: Optional[dict] = None
     # sampling searches: per target size tried, in order, its k, k', i_max,
-    # rounds and proper updates
-    phases: List[dict] = field(default_factory=list)
+    # rounds and proper updates (a list of its own, as feasible_mass)
+    phases: Optional[List[dict]] = None
+
+
+class CoverResult(_CoverResultFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "CoverResult":
+        self = super().__new__(cls, *args, **kwargs)
+        return self._replace(feasible_mass=list(self.feasible_mass or ()), phases=list(self.phases or ()))
 
     def center_segments(self, S: PolyCurve) -> List[Segment]:
         return [c.segment(S) for c in self.centers]
 
 
-@dataclass
 class _LoopStats:
-    rounds: int = 0
-    proper: int = 0
-    feasible_mass: List[float] = field(default_factory=list)
-    phases: List[dict] = field(default_factory=list)
+    __slots__ = ("rounds", "proper", "feasible_mass", "phases")
+
+    def __init__(self):
+        self.rounds = 0
+        self.proper = 0
+        self.feasible_mass: List[float] = []
+        self.phases: List[dict] = []
 
 
 # The most windows ``coverage.window_set`` returns.  A mask is charged them
@@ -425,7 +438,7 @@ def k_approx_cover(
                 n_sampled=len(drawn),
                 coverage_filled=cache.filled,
                 coverage_cache_hits=cache.hits,
-                feasible_mass=list(stats.feasible_mass),
+                feasible_mass=stats.feasible_mass,
                 feasibility=cache.feasibility(),
             )
         mass = weighting.feasible_weight(witness)
@@ -500,9 +513,7 @@ def doubling_search(
             "rounds": stats.rounds - rounds, "proper_updates": stats.proper - updates,
         })
         if result is not None:
-            result.k_found = k
-            result.phases = stats.phases
-            return result
+            return result._replace(k_found=k, phases=stats.phases)
         if cfg.k_prime_override is not None and stats.proper == updates:
             raise failure("no weight update at the forced k'")
 

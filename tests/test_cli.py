@@ -382,6 +382,21 @@ def test_main_at_extreme_deltas(tmp_path, capsys, delta):
         assert code == 2 and err == "error: delta must be positive and finite\n", err
 
 
+def test_report_at_a_huge_delta_is_strict_json(tmp_path, capsys):
+    # 11 * 1e308 overflows: the radius is reported as null, not as Infinity
+    def reject(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    path = str(tmp_path / "wave.txt")
+    np.savetxt(path, _wave(0))
+    out = tmp_path / "report.json"
+    code = main(["--input", path, "--delta", "1e308", "--verify", "--out", str(out)])
+    for text in (capsys.readouterr().out, out.read_text()):
+        report = json.loads(text, parse_constant=reject)
+        assert report["verdict"] == "PASS" and report["guarantee_radius"] is None
+    assert code == 0
+
+
 @pytest.mark.parametrize("k", [-660, -60, 0, 60, 500])
 def test_scaled_curves_give_the_unscaled_cover(tmp_path, k):
     # power-of-two scaling is exact; the solve's squares under- or overflow

@@ -60,6 +60,19 @@ def test_segment_validates_its_endpoints():
         Segment([[0.0, 0.0]], [[1.0, 0.0]])
 
 
+def test_edge_point_validates_its_local_parameter():
+    assert EdgePoint(1, 0.0).local == 0.0 and EdgePoint(2, 1.0).local == 1.0
+    for local in (1.5, -0.1, math.nan):
+        with pytest.raises(ValueError):
+            EdgePoint(1, local)
+
+
+def test_segment_reversed_swaps_the_endpoint_arrays():
+    seg = Segment((0.0, 1.0), (2.0, 3.0))
+    rev = seg.reversed()
+    assert rev.start is seg.end and rev.end is seg.start
+
+
 def test_edges_are_the_vertex_pairs():
     P = curve_from_points([(0, 0), (1, 0), (2, 2), (2, 2.5)])
     for i in range(1, P.num_edges + 1):

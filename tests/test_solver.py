@@ -1,4 +1,8 @@
+import dataclasses
+import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import subcover
 import subcover.solver as solver
 from subcover.candidates import Candidate, candidate_segments, candidate_set
 from subcover.coverage import (
@@ -21,7 +26,7 @@ from subcover.coverage import (
     point_not_covered_from_intervals,
     structured_coverage,
 )
-from subcover.geometry import Interval, PolyCurve, Segment, curve_from_points
+from subcover.geometry import EdgePoint, Interval, PolyCurve, Segment, curve_from_points
 from subcover.implicit import implicit_approx_cover
 from subcover.oracle import covers_unit as oracle_covers, full_coverage, min_cover_exhaustive
 from subcover.simplify import simplify_curve
@@ -57,6 +62,35 @@ def noisy_passes(rng, k_rep, n_per=9, noise=0.1, length=10.0):
         if not np.array_equal(arr[i], arr[keep[-1]]):
             keep.append(i)
     return PolyCurve(arr[keep])
+
+
+def test_no_class_of_the_package_is_a_dataclass():
+    names = [f"subcover.{m.name}" for m in pkgutil.iter_modules(subcover.__path__)]
+    assert "subcover.solver" in names
+    for name in names:
+        module = importlib.import_module(name)
+        for cls_name, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == name:
+                assert not dataclasses.is_dataclass(cls), f"{name}.{cls_name}"
+
+
+def test_records_are_immutable():
+    records = [
+        (Interval(0.0, 1.0), "lo"),
+        (EdgePoint(1, 0.5), "local"),
+        (Candidate(1, 0.0, 1.0), "beta"),
+        (SolverConfig(), "rng_seed"),
+    ]
+    for record, name in records:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+
+
+def test_cover_results_do_not_share_their_lists():
+    r1 = CoverResult([], 0, 0, 1.0)
+    r2 = CoverResult([], 0, 0, 1.0)
+    assert r1.feasible_mass == r2.feasible_mass == [] and r1.phases == r2.phases == []
+    assert r1.feasible_mass is not r2.feasible_mass and r1.phases is not r2.phases
 
 
 def test_weight_update_examples():
