@@ -29,11 +29,11 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .candidates import Candidate
+from .candidates import Candidate, candidate_segments
 from .coverage import feasible_rectangles
 from .geometry import EdgePoint, PolyCurve, ball_intervals
 from .simplify import Simplification
-from .solver import CoverResult, SolverConfig, doubling_search, search_curve
+from .solver import CoverResult, SolverConfig, _DrawFills, doubling_search, search_curve
 
 # Below this total weight a draw is one int64 uniform, every grid candidate
 # number fits in an int64 too (each candidate weighs at least 1), and so does
@@ -136,13 +136,17 @@ class EdgeArrangement:
 
     Grid candidates are numbered edge by edge, then by start index, then by
     end index; a draw is such a number, and ``candidate_at`` turns it into a
-    ``Candidate``.
+    ``Candidate``.  Every rebuilt arrangement shares ``cache``, which fills
+    each round's draws afresh.
     """
 
     def __init__(self, S: PolyCurve, delta: float, feas_delta: float):
         self.S = S
         self.delta = delta  # grid spacing parameter
         self.feas_delta = feas_delta  # radius used for feasibility rectangles
+        self.cache = _DrawFills(
+            S, feas_delta, lambda drawn: candidate_segments(S, [self.candidate_at(n) for n in drawn.tolist()])
+        )
         self.grids = [
             EdgeGrid.for_edge_length(S.edge(e).length(), delta) for e in range(1, S.num_edges + 1)
         ]

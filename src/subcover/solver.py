@@ -19,15 +19,14 @@ initial one.  There are two:
 - ``implicit.EdgeArrangement`` keeps exact integer weights on cells of
   per-edge candidate grids; the search runs at 9*delta, for 12*delta.
 
-The search reads coverage from one cache per solve, keyed by candidate
-number (``_CoverageCache``).  An implicit solve's cache holds only the
-candidates drawn.  An explicit solve's cache also answers the feasibility
-queries, lazily (a round fills its new draws, a query masks all candidates)
-or from one fill of every candidate that keeps their window intervals for
-queries to stab.  By measured prices, that fill comes before round 1 when
-it costs at most two failed lazy rounds, so a solve whose first round
-covers pays at most one fill of its draws plus two masks more than the lazy
-way; otherwise once the lazy rounds have paid two thirds of its price.
+A weighting carries its solve's one coverage source, ``cache``.  A round's
+coverage is a fresh fill of its distinct draws (``_DrawFills``) or, once an
+explicit solve has filled all of B, a slice of that table
+(``_CoverageCache``).  The explicit cache also answers the feasibility
+queries, by a mask over B or by stabbing the table's window intervals.  By
+measured prices, the table is filled before round 1 when it costs at most
+two failed lazy rounds and round 1 has not drawn all of B, otherwise once
+the lazy fills and masks have paid two thirds of its price.
 
 An explicit round needs only which candidates its k' draws hit, so it draws
 the per-candidate counts from one multinomial (``sample_indices``), in time
@@ -47,7 +46,7 @@ input, is rechecked on what is returned, not assumed.  The greedy baseline,
 from __future__ import annotations
 
 import math
-from typing import Dict, List, NamedTuple, Optional, Protocol, Sequence
+from typing import Callable, List, NamedTuple, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -100,6 +99,8 @@ class SolverFailure(RuntimeError):
 class Weighting(Protocol):
     """Weights over numbered candidates, as the search reads them."""
 
+    cache: "_DrawFills"  # the solve's coverage source, shared by every rebuild
+
     def distinct_draws(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Increasing numbers of the candidates hit by count independent draws."""
 
@@ -123,8 +124,8 @@ class ExplicitDist:
     so the true total weight remains available for the growth invariant.
     A candidate is feasible at t exactly when t lies in its structured
     coverage, so the feasible sets come from ``cache``, the coverage cache
-    of the solve, which every weighting rebuilt from this one shares.  Only
-    ``feasible_weight`` and ``rebuilt_with`` read it.
+    of the solve, which every weighting rebuilt from this one shares and
+    which fills the rounds.  ``on`` builds it.
     """
 
     __slots__ = ("candidates", "weights", "cache", "total", "log2_scale", "_feasible")
@@ -219,8 +220,8 @@ class _CoverResultFields(NamedTuple):
     # candidates the centres were picked from: the successful round's
     # distinct draws, or the whole candidate set for the greedy baseline
     n_sampled: int = 0
-    # candidates whose coverage was computed, and draws that found theirs
-    # already computed
+    # candidate coverages filled (a candidate drawn in two lazy rounds counts
+    # twice), and draws read from the table of all of B instead
     coverage_filled: int = 0
     coverage_cache_hits: int = 0
     # the feasible-set mass at each proper update, in order (a list of its
@@ -272,65 +273,61 @@ _MASK_WINDOW_US = 0.22
 _BUY_SHARE = 2.0 / 3.0
 
 
-class _KeyRows:
-    """Rows by candidate number, read and written like the index array of an
-    explicit cache (-1: not filled), for implicit numbers, too many for one."""
+class _DrawFills:
+    """Structured coverage of each round's distinct draws, filled afresh.
 
-    def __init__(self):
-        self.rows: Dict[int, int] = {}
-
-    def __getitem__(self, numbers: np.ndarray) -> np.ndarray:
-        return np.array([self.rows.get(n, -1) for n in numbers.tolist()], dtype=np.intp)
-
-    def __setitem__(self, numbers: np.ndarray, rows: np.ndarray) -> None:
-        self.rows.update(zip(numbers.tolist(), rows.tolist()))
-
-
-class _CoverageCache:
-    """Structured coverage of the candidates drawn so far, keyed by candidate number.
-
-    A candidate is filled on its first draw, with the others new in the same
-    round, and ``row`` gives its row in ``table``; ``filled`` counts the
-    candidates filled and ``hits`` the draws that found theirs filled already.
-
-    Given ``segments``, the (starts, ends) of every candidate of an explicit
-    list, the cache also answers that list's feasibility queries
-    (``feasible``), lazily or from the table, whichever its prices (a fixed
-    cost per call plus a cost per window) make cheaper.  Lazily, each round
-    fills its new draws and each query masks all candidates.  The table
-    holds every candidate with its window intervals: rounds take their
-    coverage from it and queries stab the windows (``coverage.WindowTable``,
-    sorted at the first query, so a solve that never queries sorts nothing).
-
-    The table is filled in place of round 1's fill when it costs at most two
-    failed lazy rounds, two fills of round 1's draws and two masks, so a
-    solve whose first round covers pays at most one fill of its draws plus
-    two masks more than the lazy way.  Otherwise the query at which the
-    lazy rent (fills and masks, with this query's) would reach
-    ``_BUY_SHARE`` of the table's price fills the table.  A fill is per
-    candidate and a stab equals the mask, so covers, rounds and feasible
-    sets do not depend on the choice.
+    ``segments_of(drawn)`` gives the (starts, ends) of the candidates
+    numbered drawn.  ``filled`` counts the candidates filled and ``hits``
+    the draws read from a table instead, which only ``_CoverageCache`` has.
     """
 
-    def __init__(self, S: PolyCurve, delta: float, segments: Optional[tuple] = None):
+    def __init__(self, S: PolyCurve, delta: float, segments_of: Callable[[np.ndarray], tuple]):
         self.S = S
         self.delta = delta
-        self.table = Coverage.of([])
+        self.segments_of = segments_of
         self.filled = self.hits = 0
-        self.segments = segments
+
+    def intervals_for(self, drawn: np.ndarray) -> Coverage:
+        """Coverage of each given candidate; the numbers must be distinct."""
+        starts, ends = self.segments_of(drawn)
+        self.filled += drawn.size
+        return batch_candidate_coverage(self.S, starts, ends, self.delta)
+
+    def feasibility(self) -> Optional[dict]:
+        """None: the weighting answers its feasibility queries itself."""
+        return None
+
+
+class _CoverageCache(_DrawFills):
+    """Coverage of an explicit list whose (starts, ends) are ``segments``.
+
+    A round fills its draws from slices of those arrays, or slices
+    ``table``, the fill of every candidate with its window intervals.  The
+    feasibility queries (``feasible``) are masks over the list or stabs of
+    those windows (``coverage.WindowTable``, sorted at the first query),
+    whichever the prices (a fixed cost per call plus a cost per window) make
+    cheaper.  The table is filled in place of round 1's fill when it costs
+    at most two failed lazy rounds, two fills of round 1's draws and two
+    masks, unless round 1 draws every candidate: that fill is then the
+    table's but for the windows, which only queries read.  Otherwise the
+    query at which the lazy rent (fills and masks, with this query's) would
+    reach ``_BUY_SHARE`` of the table's price fills the table.  A fill is
+    per candidate and a stab equals the mask, so covers, rounds and
+    feasible sets do not depend on the choice.
+    """
+
+    def __init__(self, S: PolyCurve, delta: float, segments: tuple):
+        starts, ends = self.segments = segments
+        super().__init__(S, delta, lambda drawn: (starts[drawn], ends[drawn]))
+        self.table: Optional[Coverage] = None
         self.stabbed: Optional[WindowTable] = None
         self.masks = self.table_queries = self.band = 0
         # the query that filled every candidate, 0 when that came before round 1
         self.table_filled_at: Optional[int] = None
         self.rent = 0.0
         self._fill_windows = sum(max(S.num_edges - L, 0) for L in range(MAX_WINDOW_EDGES))
-        if segments is None:
-            self.row = _KeyRows()
-        else:
-            n = segments[0].shape[0]
-            self.row = np.full(n, -1, dtype=np.intp)
-            self.price = self._fill_cost(n)
-            self.mask_cost = _CALL_US + _MASK_WINDOW_US * _MASK_WINDOWS * n
+        self.price = self._fill_cost(starts.shape[0])
+        self.mask_cost = _CALL_US + _MASK_WINDOW_US * _MASK_WINDOWS * starts.shape[0]
 
     def _fill_cost(self, count: int) -> float:
         return _CALL_US + _FILL_WINDOW_US * self._fill_windows * count
@@ -339,34 +336,26 @@ class _CoverageCache:
         """Fill every candidate, keeping the windows for the first query to sort."""
         starts, ends = self.segments
         self.table = batch_candidate_coverage(self.S, starts, ends, self.delta, windows=True)
-        self.filled = self.row.size
-        self.row = np.arange(self.row.size)
+        self.filled += starts.shape[0]
 
-    def intervals_for(self, weighting: Weighting, drawn: np.ndarray) -> Coverage:
-        """Coverage of each given candidate; the numbers must be distinct."""
+    def intervals_for(self, drawn: np.ndarray) -> Coverage:
         if (
-            self.segments is not None
-            and not self.filled
+            not self.filled
+            and drawn.size < self.segments[0].shape[0]
             and self.price <= 2.0 * (self._fill_cost(drawn.size) + self.mask_cost)
         ):
             self._fill_table()
             self.table_filled_at = 0
-        rows = self.row[drawn]
-        new = drawn[rows < 0]
-        self.hits += drawn.size - new.size
-        if new.size:
-            self.row[new] = np.arange(len(self.table), len(self.table) + new.size)
-            starts, ends = candidate_segments(self.S, [weighting.candidate_at(n) for n in new.tolist()])
-            self.table = self.table.extended(batch_candidate_coverage(self.S, starts, ends, self.delta))
-            self.filled += new.size
-            self.rent += self._fill_cost(new.size)
-            rows = self.row[drawn]
-        return self.table.take(rows)
+        if self.table is None:
+            self.rent += self._fill_cost(drawn.size)
+            return super().intervals_for(drawn)
+        self.hits += drawn.size
+        return self.table.take(drawn)
 
     def feasible(self, t: EdgePoint) -> np.ndarray:
         """Increasing numbers of the candidates able to cover t."""
         S, (starts, ends), delta = self.S, self.segments, self.delta
-        if self.table_filled_at is None:
+        if self.table is None:
             if self.rent + self.mask_cost < _BUY_SHARE * self.price:
                 self.masks += 1
                 self.rent += self.mask_cost
@@ -381,10 +370,7 @@ class _CoverageCache:
         self.band += band
         return np.flatnonzero(mask)
 
-    def feasibility(self) -> Optional[dict]:
-        """How the feasibility queries were answered; None without segments."""
-        if self.segments is None:
-            return None
+    def feasibility(self) -> dict:
         return {
             "masks": self.masks,
             "table_queries": self.table_queries,
@@ -402,13 +388,13 @@ def k_approx_cover(
     i_max: int,
     rng: np.random.Generator,
     *,
-    cache: Optional[_CoverageCache] = None,
     stats: Optional[_LoopStats] = None,
 ) -> Optional[CoverResult]:
     """Sampling loop for one target size; None when i_max updates were spent.
 
     On success the centres are ``shrink_cover``'s subset of the round's
-    distinct draws, in increasing candidate number.
+    distinct draws, in increasing candidate number.  The rounds read their
+    coverage from ``weighting.cache``.
 
     Proper iterations are the weight updates; sampling rounds whose feasible
     set is too heavy (probability above 1/r) do not count toward i_max.  A
@@ -416,8 +402,7 @@ def k_approx_cover(
     """
     if stats is None:
         stats = _LoopStats()
-    if cache is None:
-        cache = _CoverageCache(S, delta_p)
+    cache = weighting.cache
     log2_initial_total = weighting.log2_total()
     updates = rounds = 0
     max_rounds = max(1000, 20 * i_max)
@@ -425,7 +410,7 @@ def k_approx_cover(
         rounds += 1
         stats.rounds += 1
         drawn = weighting.distinct_draws(k_prime, rng)
-        per = cache.intervals_for(weighting, drawn)
+        per = cache.intervals_for(drawn)
         witness = point_not_covered_from_intervals(S, per)
         if witness is None:
             keep = shrink_cover(S, per)
@@ -460,13 +445,12 @@ def doubling_search(
     n_candidates: int,
     delta_p: float,
     cfg: SolverConfig,
-    cache: Optional[_CoverageCache] = None,
 ) -> CoverResult:
     """Double the target size k until ``k_approx_cover`` covers S at radius delta_p.
 
     Every k starts again from ``weighting``, which weighs n_candidates
-    candidates.  The random stream, the coverage cache (a new one unless
-    given) and the round and update counts carry across all k.
+    candidates.  The random stream, the coverage source (``weighting.cache``)
+    and the round and update counts carry across all k.
 
     With k' forced, a phase that spends all its rounds without a cover or
     a weight update ends the search: every later phase starts from the same
@@ -475,15 +459,13 @@ def doubling_search(
     """
     gamma = cfg.resolve_gamma(S.dim)
     rng = np.random.default_rng(cfg.rng_seed)
-    if cache is None:
-        cache = _CoverageCache(S, delta_p)
     stats = _LoopStats()
 
     def failure(message: str) -> SolverFailure:
         return SolverFailure(message, {
             "max_k": cfg.max_k, "candidates": n_candidates, "rounds": stats.rounds,
             "proper_iterations": stats.proper, "feasible_mass": stats.feasible_mass,
-            "feasibility": cache.feasibility(), "phases": stats.phases,
+            "feasibility": weighting.cache.feasibility(), "phases": stats.phases,
         })
 
     k = 1
@@ -497,17 +479,7 @@ def doubling_search(
             k_prime = math.ceil(16 * k * gamma * math.log(16 * k * gamma))
         i_max = max(math.ceil(5 * k * math.log2(n_candidates / k)) if n_candidates > k else 0, 1)
         rounds, updates = stats.rounds, stats.proper
-        result = k_approx_cover(
-            S,
-            weighting,
-            2.0 * k,
-            delta_p,
-            k_prime,
-            i_max,
-            rng,
-            cache=cache,
-            stats=stats,
-        )
+        result = k_approx_cover(S, weighting, 2.0 * k, delta_p, k_prime, i_max, rng, stats=stats)
         stats.phases.append({
             "k": k, "k_prime": k_prime, "i_max": i_max,
             "rounds": stats.rounds - rounds, "proper_updates": stats.proper - updates,
@@ -545,7 +517,7 @@ def approx_cover(
     B = candidates if candidates is not None else candidate_set(S, delta)
     delta_p = 8.0 * delta
     dist = ExplicitDist.on(S, B, delta_p)
-    return doubling_search(S, dist, len(B), delta_p, cfg, dist.cache)
+    return doubling_search(S, dist, len(B), delta_p, cfg)
 
 
 def _promote_single_vertex(P: PolyCurve) -> PolyCurve:

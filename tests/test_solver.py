@@ -27,7 +27,7 @@ from subcover.coverage import (
     structured_coverage,
 )
 from subcover.geometry import EdgePoint, Interval, PolyCurve, Segment, curve_from_points
-from subcover.implicit import implicit_approx_cover
+from subcover.implicit import EdgeArrangement, implicit_approx_cover
 from subcover.oracle import covers_unit as oracle_covers, full_coverage, min_cover_exhaustive
 from subcover.simplify import simplify_curve
 from subcover.solver import (
@@ -175,7 +175,7 @@ def test_round_memory_does_not_grow_with_the_draw_count():
 def test_k_approx_cover_trivial_single_candidate():
     S = curve_from_points([(0, 0), (10, 0)])
     B = [Candidate(1, 0.0, 1.0)]
-    d = ExplicitDist.uniform(B)
+    d = ExplicitDist.on(S, B, 0.5)
     rng = np.random.default_rng(3)
     res = k_approx_cover(S, d, r=4.0, delta_p=0.5, k_prime=5, i_max=10, rng=rng)
     assert res is not None and res.centers == B
@@ -183,14 +183,16 @@ def test_k_approx_cover_trivial_single_candidate():
 
 def test_k_approx_cover_i_max_zero_gives_none():
     S = curve_from_points([(0, 0), (10, 0)])
-    d = ExplicitDist.uniform([Candidate(1, 0.0, 1.0)])
+    d = ExplicitDist.on(S, [Candidate(1, 0.0, 1.0)], 0.5)
     rng = np.random.default_rng(4)
     assert k_approx_cover(S, d, 4.0, 0.5, 5, 0, rng) is None
 
 
-def test_k_approx_cover_weights_double_until_sampled():
+def test_k_approx_cover_weights_double_until_sampled(monkeypatch):
     # three candidates: only the third covers the whole edge; its weight
     # starts vanishingly small and doubles each proper iteration until drawn
+    calls = []
+    monkeypatch.setattr(solver, "batch_candidate_coverage", recording(calls, batch_candidate_coverage))
     S = curve_from_points([(0, 0), (10, 0)])
     B = [Candidate(1, 0.0, 0.1), Candidate(1, 0.05, 0.12), Candidate(1, 0.0, 1.0)]
     d = ExplicitDist.on(S, B, 0.1, np.array([1e6, 1e6, 1.0]))
@@ -198,6 +200,11 @@ def test_k_approx_cover_weights_double_until_sampled():
     res = k_approx_cover(S, d, r=4.0, delta_p=0.1, k_prime=1, i_max=400, rng=rng)
     assert res is not None
     assert any(c.beta == 1.0 for c in res.centers)
+    # the loop reads the dist's own cache: one fill of B serves every round
+    # and query, and the result reports how that cache answered
+    assert [(len(args[1]), kwargs) for *args, kwargs in calls] == [(len(B), {"windows": True})]
+    assert res.feasibility == d.cache.feasibility()
+    assert res.feasibility["table_queries"] == 18 and res.feasibility["table_filled_at"] == 0
 
 
 def test_weight_growth_check_survives_python_O():
@@ -364,6 +371,44 @@ def test_a_first_round_cover_on_a_large_candidate_set_fills_only_its_draws(monke
     assert len(B) > 1000 and res.iterations == 1
     assert [(len(args[1]), kwargs) for *args, kwargs in calls] == [(res.n_sampled, {})]
     assert res.coverage_filled == res.n_sampled
+    assert res.feasibility == {"masks": 0, "table_queries": 0, "band_candidates": 0, "table_filled_at": None}
+
+
+def test_explicit_lazy_rounds_read_candidates_only_for_the_centres(monkeypatch):
+    # at 1e9 microseconds a window the rounds stay lazy; they slice their
+    # draws' segments from the cache's arrays instead of building candidates
+    built = []
+    monkeypatch.setattr(solver, "_FILL_WINDOW_US", 1e9)
+    monkeypatch.setattr(ExplicitDist, "candidate_at", returning(built, ExplicitDist.candidate_at))
+    res = approx_cover(noisy_lapped(TRIANGLE, 60, 2, 0.15), 0.5, SolverConfig(rng_seed=0, k_prime_override=4))
+    assert res.feasibility["table_filled_at"] != 0 and res.iterations > 1
+    assert built == res.centers
+
+
+def test_implicit_rounds_fill_their_draws_afresh(monkeypatch):
+    # no implicit draw is read from a store: every round fills its distinct
+    # draws, repeats from earlier rounds included
+    draws = []
+    monkeypatch.setattr(EdgeArrangement, "distinct_draws", returning(draws, EdgeArrangement.distinct_draws))
+    P = noisy_lapped(TRIANGLE, 30, 1, 0.15)
+    res = implicit_approx_cover(P, 0.5, SolverConfig(rng_seed=2, k_prime_override=4))
+    assert res.iterations == len(draws) > 1
+    assert res.coverage_filled == sum(d.size for d in draws) > len(set(np.concatenate(draws).tolist()))
+    assert res.coverage_cache_hits == 0
+
+
+def test_a_first_round_that_draws_all_of_b_fills_it_without_windows(monkeypatch):
+    # at the default gamma round 1 draws every candidate and covers; its own
+    # fill is B's, and the windows only a query would read are not made
+    calls = []
+    monkeypatch.setattr(solver, "batch_candidate_coverage", recording(calls, batch_candidate_coverage))
+    P = noisy_lapped(TRIANGLE, 60, 2, 0.15)
+    simplification = simplify_curve(P, 0.5)
+    B = candidate_set(simplification.curve, 0.5)
+    res = approx_cover(P, 0.5, SolverConfig(rng_seed=0), simplification=simplification, candidates=B)
+    assert res.iterations == 1 and res.n_sampled == len(B)
+    assert [(len(args[1]), kwargs) for *args, kwargs in calls] == [(len(B), {})]
+    assert res.coverage_filled == len(B) and res.coverage_cache_hits == 0
     assert res.feasibility == {"masks": 0, "table_queries": 0, "band_candidates": 0, "table_filled_at": None}
 
 
