@@ -16,7 +16,6 @@ from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .candidates import candidate_set
 from .geometry import Interval, PolyCurve, Segment, arclength_params
 from .implicit import implicit_approx_cover
 from .oracle import covers_unit, full_coverage
@@ -147,28 +146,17 @@ def run(config: RunConfig) -> dict:
     simp = simplify_curve(P, delta)
     S = _promote_single_vertex(simp.curve)
     simplified = time.perf_counter()
-    cfg = SolverConfig(
-        gamma=config.gamma_override,
-        rng_seed=config.seed,
-        variant=config.variant,
-    )
+    cfg = SolverConfig(gamma=config.gamma_override, rng_seed=config.seed)
+    factor = 12.0 if config.variant == "implicit" else 11.0
     failure = None
-    if config.variant == "implicit":
-        factor = 12.0
-        try:
-            result = implicit_approx_cover(P, delta, cfg, simplification=simp)
-        except SolverFailure as exc:
-            failure, result = exc, None
-    elif config.variant == "greedy":
-        factor = 11.0
-        B = candidate_set(S, delta)
-        result = greedy_max_coverage(S, B, 8.0 * delta, max(len(B), 1))
-    else:
-        factor = 11.0
-        try:
-            result = approx_cover(P, delta, cfg, simplification=simp)
-        except SolverFailure as exc:
-            failure, result = exc, None
+    try:
+        if config.variant == "greedy":
+            result = greedy_max_coverage(P, delta, simplification=simp)
+        else:
+            solve = implicit_approx_cover if config.variant == "implicit" else approx_cover
+            result = solve(P, delta, cfg, simplification=simp)
+    except SolverFailure as exc:
+        failure, result = exc, None
     solved = time.perf_counter()
     # wall time per pipeline stage; a run whose solver failed has no verify stage
     stage_s = {

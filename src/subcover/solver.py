@@ -40,7 +40,10 @@ its distinct draws and stops as soon as that subset passes the same
 coverage test, ``point_not_covered_from_intervals``, that declared the batch
 a success.  So the structured coverage, and with it the guarantee on the
 input, is rechecked on what is returned, not assumed.  The greedy baseline,
-``greedy_max_coverage``, runs on the same array greedy, ``GreedyCore``.
+``greedy_max_coverage``, is that covering round with every candidate drawn:
+it fills all of B and returns ``shrink_cover``'s subset of it, so a
+default-gamma explicit solve whose round 1 draws all of B returns the same
+centres.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ from .coverage import (
     WindowTable,
     batch_candidate_coverage,
     batch_feasible_mask,
-    covers_unit,
     point_not_covered_from_intervals,
 )
 from .geometry import EdgePoint, PolyCurve, Segment
@@ -89,7 +91,8 @@ class SolverConfig(NamedTuple):
 
 class SolverFailure(RuntimeError):
     """Raised when the doubling search exceeds the size cap, or with k'
-    forced, when a k-phase ends without a weight update."""
+    forced, when a k-phase ends without a weight update; and when the
+    candidates of ``greedy_max_coverage`` leave a gap."""
 
     def __init__(self, message: str, diagnostics: dict):
         super().__init__(message)
@@ -134,7 +137,7 @@ class ExplicitDist:
         self,
         candidates: List[Candidate],
         weights: np.ndarray,
-        cache: Optional["_CoverageCache"] = None,
+        cache: "_CoverageCache",
         log2_scale: float = 0.0,
     ):
         if len(candidates) == 0:
@@ -147,10 +150,6 @@ class ExplicitDist:
         self.total = float(weights.sum())
         self.log2_scale = log2_scale
         self._feasible = (None, None)  # the last witness queried and its feasible set
-
-    @staticmethod
-    def uniform(candidates: Sequence[Candidate]) -> "ExplicitDist":
-        return ExplicitDist(list(candidates), np.ones(len(candidates)))
 
     @staticmethod
     def on(
@@ -632,7 +631,8 @@ def shrink_cover(S: PolyCurve, per: Coverage) -> List[int]:
     the unchosen candidate nearest the test's witness point is added.  As
     the whole sample passes the test, some unchosen candidate lies within
     the gap slack of every point of the gap, and the loop ends after at most
-    one pick per candidate.
+    one pick per candidate.  This is the package's one greedy selection
+    loop; ``greedy_max_coverage`` runs it on all of B.
     """
     core = GreedyCore(per)
     while True:
@@ -644,29 +644,25 @@ def shrink_cover(S: PolyCurve, per: Coverage) -> List[int]:
 
 
 def greedy_max_coverage(
-    S: PolyCurve, B: Sequence[Candidate], delta: float, k_budget: int
+    P: PolyCurve,
+    delta: float,
+    *,
+    simplification: Optional[Simplification] = None,
+    candidates: Optional[List[Candidate]] = None,
 ) -> CoverResult:
-    """Pick the candidate adding the most covered measure until done.
+    """Cover the input curve with segment centers at radius 11*delta, greedily.
 
-    Stops at the budget, at full coverage, or when no candidate adds
-    anything.  Ties break toward the lowest candidate index.
+    The covering round of ``approx_cover`` with every candidate drawn: B is
+    filled at 8*delta on the simplification and the centres are
+    ``shrink_cover``'s.  A B that leaves a gap raises ``SolverFailure``.
     """
-    if k_budget < 1:
-        raise ValueError("k_budget must be at least 1")
-    starts, ends = candidate_segments(S, B)
-    core = GreedyCore(batch_candidate_coverage(S, starts, ends, delta))
-    for _ in range(k_budget):
-        pick = core.best()
-        if pick is None:
-            break
-        core.add(pick)
-        if covers_unit(core.covered()[0]):
-            break
-    return CoverResult(
-        centers=[B[i] for i in core.chosen],
-        k_found=len(core.chosen),
-        iterations=len(core.chosen),
-        delta_out=delta,
-        n_sampled=len(B),
-        coverage_filled=len(B),
-    )
+    S = search_curve(P, delta, simplification)
+    B = candidates if candidates is not None else candidate_set(S, delta)
+    per = batch_candidate_coverage(S, *candidate_segments(S, B), 8.0 * delta)
+    witness = point_not_covered_from_intervals(S, per)
+    if witness is not None:
+        raise SolverFailure("the candidate set leaves a gap",
+                            {"candidates": len(B), "witness": S.edge_point_param(witness)})
+    keep = shrink_cover(S, per)
+    return CoverResult(centers=[B[i] for i in keep], k_found=len(keep), iterations=len(keep),
+                       delta_out=8.0 * delta, n_sampled=len(B), coverage_filled=len(B))

@@ -417,14 +417,16 @@ def test_scaled_curves_give_the_unscaled_cover(tmp_path, k):
     }
 
 
-def test_failed_run_writes_report_with_diagnostics(tmp_path, monkeypatch):
+@pytest.mark.parametrize("variant", ["explicit", "implicit", "greedy"])
+def test_failed_run_writes_report_with_diagnostics(tmp_path, monkeypatch, variant):
     def fail(*args, **kwargs):
         raise SolverFailure("target size cap exceeded", {"max_k": 4, "rounds": 7})
 
-    monkeypatch.setattr(cli, "approx_cover", fail)
+    solve = {"explicit": "approx_cover", "implicit": "implicit_approx_cover", "greedy": "greedy_max_coverage"}
+    monkeypatch.setattr(cli, solve[variant], fail)
     path = write(tmp_path, "f.txt", "\n".join(f"{x} 0" for x in np.linspace(0, 5, 6)))
     out = tmp_path / "report.json"
-    assert main(["--input", path, "--delta", "1.0", "--out", str(out)]) == 1
+    assert main(["--input", path, "--delta", "1.0", "--variant", variant, "--out", str(out)]) == 1
     data = json.loads(out.read_text())
     assert data["verdict"] == "FAILED"
     assert data["failure"] == "target size cap exceeded"

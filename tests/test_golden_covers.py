@@ -7,10 +7,8 @@ workload, at delta 0.5.
 
 import numpy as np
 
-from subcover.candidates import candidate_set
 from subcover.geometry import PolyCurve
 from subcover.implicit import implicit_approx_cover
-from subcover.simplify import simplify_curve
 from subcover.solver import SolverConfig, approx_cover, greedy_max_coverage
 
 DELTA = 0.5
@@ -43,13 +41,11 @@ def test_forced_k_prime_explicit_cover_is_pinned():
 
 
 def test_greedy_cover_is_pinned():
-    S = simplify_curve(lapped_triangle(SEED, 30, 1, 16.0), DELTA).curve
-    B = candidate_set(S, DELTA)
-    res = greedy_max_coverage(S, B, 8.0 * DELTA, len(B))
-    assert len(B) == 27
+    res = greedy_max_coverage(lapped_triangle(SEED, 30, 1, 16.0), DELTA)
+    assert res.n_sampled == 27
     assert bits(res.centers) == [
-        (2, "0x1.0bd500bec3a4ap-3", "0x1.b40c7ecf0baf6p-1"),
         (1, "0x0.0p+0", "0x1.bbd288cc5644ap-1"),
+        (2, "0x1.0bd500bec3a4ap-3", "0x1.b40c7ecf0baf6p-1"),
         (3, "0x0.0p+0", "0x1.f4c6d8431a521p-1"),
     ]
 

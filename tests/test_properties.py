@@ -50,6 +50,7 @@ from subcover.freespace import (
     extremal_points,
     free_space_rows,
 )
+import subcover.geometry as geometry_module
 from subcover.geometry import (
     BallIntervals,
     EdgePoint,
@@ -74,6 +75,7 @@ from subcover.radicals import ONE, Radical, rad_max, rad_min
 import subcover.simplify as simplify_module
 from subcover.simplify import ShortcutBlocks, _decide_between, shortcut_holds, simplify_curve
 from test_candidates import reference_close_pairs, reference_close_subcurves
+from test_solver import SQUARE, noisy_lapped
 
 PROPERTY = settings(
     max_examples=60,
@@ -580,6 +582,57 @@ def test_coverage_fill_equals_reference_loop_on_lapped_routes(route):
     _assert_fill_equals_reference(S, starts, ends, 8.0 * delta, None)
 
 
+def _lapped_square_route():
+    """The simplification of a 200-point 2-lap noisy square (m = 21) and its
+    candidate segments (|B| = 541) at delta 0.5."""
+    S = simplify_curve(noisy_lapped(SQUARE, 200, 2, 0.4), 0.5).curve
+    B = candidate_set(S, 0.5)
+    assert (S.n, len(B)) == (21, 541)
+    return S, B
+
+
+@pytest.mark.parametrize("block", [50, 500, 5000])
+def test_a_fill_with_windows_over_many_blocks_equals_the_one_block_fill(block):
+    S, B = _lapped_square_route()
+    starts, ends = candidate_segments(S, B)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coverage_module, "BLOCK_ENTRIES", 1 << 30)
+        one = batch_candidate_coverage(S, starts, ends, 4.0, windows=True)
+        mp.setattr(coverage_module, "BLOCK_ENTRIES", block)
+        many = batch_candidate_coverage(S, starts, ends, 4.0, windows=True)
+    for a, b in ((one.offsets, many.offsets), (one.lo, many.lo), (one.hi, many.hi)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def window_bits(windows):
+        owner, *ends_and_tol = windows
+        return sorted(zip(owner.tolist(), *([x.hex() for x in a.tolist()] for a in ends_and_tol)))
+
+    # the blocks' windows come in another order
+    assert window_bits(many.windows) == window_bits(one.windows)
+    table = WindowTable(many.windows)
+    for x in np.random.default_rng(21).random(30):
+        t = S.locate(float(x))
+        mask, _ = table.feasible_mask(S, t, starts, ends, 4.0)
+        assert np.array_equal(mask, batch_feasible_mask(S, t, starts, ends, 4.0)), x
+
+
+@pytest.mark.parametrize("block", [7, 64, 1000])
+def test_candidate_tables_over_many_blocks_give_the_same_candidates(block):
+    S, B = _lapped_square_route()
+    rows, blocks = [], candidates_module._blocks
+
+    def recorded(table, args, radius):
+        rows.append(args[0].shape[0])
+        return blocks(table, args, radius)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(candidates_module, "BLOCK_ENTRIES", block)
+        mp.setattr(candidates_module, "_blocks", recorded)
+        got = candidate_set(S, 0.5)
+    assert max(rows) > block  # some table spans several blocks
+    assert _bits(got) == _bits(B)
+
+
 # ---------------------------------------------------------------------------
 # array paths against the scalar code, bit for bit
 
@@ -851,6 +904,27 @@ def test_array_radical_branches_equal_the_scalar_ones():
         want_hi = rad_min(y, Radical.exact(r1[k]))
         assert tuple(clo[:, k]) == (want_lo.a, want_lo.b, want_lo.sign), k
         assert tuple(chi[:, k]) == (want_hi.a, want_hi.b, want_hi.sign), k
+
+
+@pytest.mark.parametrize("eps", [1e-82, 1e-83, 1e-90])
+@pytest.mark.parametrize("delta", [0.4, 0.5, 0.6])
+def test_a_near_parallel_capsule_takes_the_linear_branch(delta, eps):
+    # p->q = (0, 0)->(1, eps) against a->b = (0, -0.5)->(1, -0.5): the band's
+    # c1.c1 = eps^2 is at most 1e-164, so 4*c1c1^2 underflows to 0 while its
+    # linear term is not 0
+    a, b, p, q = (np.array(v) for v in ([0.0, -0.5], [1.0, -0.5], [0.0, 0.0], [1.0, eps]))
+    calls, sublevel = [], geometry_module._quadratic_sublevel
+
+    def spied(aa, bb, cc):
+        calls.append((aa, bb))
+        return sublevel(aa, bb, cc)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry_module, "_quadratic_sublevel", spied)
+        want = capsule_segment_radical(Segment(a, b), Segment(p, q), delta)
+    assert any(4.0 * aa * aa == 0.0 and bb != 0.0 for aa, bb in calls)
+    got = candidates_module._capsule_table(a[None], b[None], p[None], q[None], delta)
+    assert _table_key(got, 0) == _rad_key(want)
 
 
 def reference_full_coverage(P: PolyCurve, C, delta: float):

@@ -93,9 +93,14 @@ def test_cover_results_do_not_share_their_lists():
     assert r1.feasible_mass is not r2.feasible_mass and r1.phases is not r2.phases
 
 
+def on_a_segment(cands, weights=None) -> ExplicitDist:
+    """A dist over candidates on a two-vertex curve."""
+    return ExplicitDist.on(curve_from_points([(0, 0), (10, 0)]), cands, 0.5, weights)
+
+
 def test_weight_update_examples():
     cands = [Candidate(1, 0.0, 0.5), Candidate(1, 0.5, 1.0)]
-    d0 = ExplicitDist.uniform(cands)
+    d0 = on_a_segment(cands)
     d1 = weight_update(d0, [1])
     assert d1.weights.tolist() == [1.0, 2.0]
     assert d1.probability(np.array([1])) == pytest.approx(2 / 3)
@@ -111,7 +116,7 @@ def test_weight_update_examples():
 def test_weight_update_renormalizes_instead_of_overflowing():
     import math
 
-    d = ExplicitDist.uniform([Candidate(1, 0.0, 1.0), Candidate(1, 0.0, 0.5)])
+    d = on_a_segment([Candidate(1, 0.0, 1.0), Candidate(1, 0.0, 0.5)])
     for _ in range(700):
         d = weight_update(d, [0])
     assert np.isfinite(d.total)
@@ -121,7 +126,7 @@ def test_weight_update_renormalizes_instead_of_overflowing():
 def test_sample_statistics():
     rng = np.random.default_rng(0)
     cands = [Candidate(1, 0.0, x) for x in (0.2, 0.4, 0.6, 0.8)]
-    d = ExplicitDist.uniform(cands)
+    d = on_a_segment(cands)
     counts = sample_indices(d, 100_000, rng)
     assert counts.sum() == 100_000
     freq = counts / 100_000
@@ -131,14 +136,14 @@ def test_sample_statistics():
 
 def test_sample_single_candidate():
     rng = np.random.default_rng(1)
-    d = ExplicitDist.uniform([Candidate(1, 0.0, 1.0)])
+    d = on_a_segment([Candidate(1, 0.0, 1.0)])
     assert sample_indices(d, 50, rng).tolist() == [50]
 
 
 def test_sample_weighted_ratio():
     rng = np.random.default_rng(2)
     cands = [Candidate(1, 0.0, 0.5), Candidate(1, 0.5, 1.0)]
-    d = ExplicitDist(cands, np.array([1.0, 3.0]))
+    d = on_a_segment(cands, np.array([1.0, 3.0]))
     p1 = sample_indices(d, 50_000, rng)[1] / 50_000
     assert p1 == pytest.approx(0.75, abs=0.01)
 
@@ -148,7 +153,7 @@ def test_round_inclusion_frequencies_match_independent_draws():
     # 1 - (1 - p)^k' when the k' draws are independent
     rng = np.random.default_rng(5)
     weights = np.array([0.5, 1.0, 2.0, 4.0, 8.0, 24.5])
-    d = ExplicitDist([Candidate(1, 0.0, x) for x in np.linspace(0.1, 1.0, 6)], weights)
+    d = on_a_segment([Candidate(1, 0.0, x) for x in np.linspace(0.1, 1.0, 6)], weights)
     k_prime, rounds = 5, 20_000
     hits = np.zeros(len(weights))
     for _ in range(rounds):
@@ -159,7 +164,7 @@ def test_round_inclusion_frequencies_match_independent_draws():
 
 
 def test_round_memory_does_not_grow_with_the_draw_count():
-    d = ExplicitDist([Candidate(1, 0.0, x) for x in (0.25, 0.5, 1.0)], np.array([1.0, 2.0, 3.0]))
+    d = on_a_segment([Candidate(1, 0.0, x) for x in (0.25, 0.5, 1.0)], np.array([1.0, 2.0, 3.0]))
     rng = np.random.default_rng(6)
     tracemalloc.start()
     try:
@@ -507,17 +512,21 @@ def test_approx_cover_rejects_bad_delta():
 def test_greedy_full_cover_candidate_first():
     S = curve_from_points([(0, 0), (10, 0)])
     B = [Candidate(1, 0.2, 0.4), Candidate(1, 0.0, 1.0)]
-    res = greedy_max_coverage(S, B, 0.5, 5)
+    res = greedy_max_coverage(S, 0.5 / 8.0, candidates=B)
     assert res.centers == [Candidate(1, 0.0, 1.0)]
 
 
-def test_greedy_budget_limits_coverage():
+def test_greedy_fails_where_b_leaves_a_gap():
+    # without the check, shrink_cover's nearest-pick step would try every
+    # candidate in turn and still leave the gap
     S = curve_from_points([(0, 0), (10, 0)])
     B = [Candidate(1, 0.0, 0.45), Candidate(1, 0.55, 1.0)]
-    res = greedy_max_coverage(S, B, 0.01, 1)
-    assert len(res.centers) == 1
-    segs = res.center_segments(S)
-    assert not covers_unit(structured_coverage(S, segs, 0.01))
+    with pytest.raises(SolverFailure, match="leaves a gap") as failure:
+        greedy_max_coverage(S, 0.01 / 8.0, candidates=B)
+    diagnostics = failure.value.diagnostics
+    assert set(diagnostics) == {"candidates", "witness"} and diagnostics["candidates"] == 2
+    per = batch_candidate_coverage(S, *candidate_segments(S, B), 0.01)
+    assert per.hi[0] < diagnostics["witness"] < per.lo[1]
 
 
 def test_greedy_submodular_ratio_against_exhaustive():
@@ -526,7 +535,7 @@ def test_greedy_submodular_ratio_against_exhaustive():
     B = [Candidate(1, 0.0, 0.5), Candidate(1, 0.5, 1.0), Candidate(1, 0.4, 0.6)]
     k_star = min_cover_exhaustive(S, B, 0.3)
     assert k_star == 2
-    res = greedy_max_coverage(S, B, 0.3, 2)
+    res = greedy_max_coverage(S, 0.3 / 8.0, candidates=B)
     segs = res.center_segments(S)
     assert covers_unit(structured_coverage(S, segs, 0.3))
 
@@ -534,18 +543,29 @@ def test_greedy_submodular_ratio_against_exhaustive():
 def test_greedy_ties_break_to_lowest_index():
     S = curve_from_points([(0, 0), (10, 0)])
     B = [Candidate(1, 0.0, 0.5), Candidate(1, 0.5, 1.0)]
-    res = greedy_max_coverage(S, B, 1e-6, 1)
-    assert res.centers == [B[0]]
+    assert GreedyCore(batch_candidate_coverage(S, *candidate_segments(S, B), 1e-6)).best() == 0
 
 
-def reference_greedy(per, k_budget):
-    """The greedy before ``GreedyCore``: rescans every candidate's union per step."""
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_default_gamma_round_that_draws_all_of_b_returns_the_greedy_cover(seed):
+    P = noisy_lapped(TRIANGLE, 60, 2, 0.15, seed)
+    simplification = simplify_curve(P, 0.5)
+    explicit = approx_cover(P, 0.5, SolverConfig(rng_seed=seed), simplification=simplification)
+    greedy = greedy_max_coverage(P, 0.5, simplification=simplification)
+    assert explicit.iterations == 1 and explicit.n_sampled == greedy.n_sampled
+    assert explicit.centers == greedy.centers
+
+
+def reference_greedy(S, per):
+    """The greedy before ``GreedyCore``: rescans every candidate's union per
+    step, until the chosen ones pass the gap test or none adds measure.
+    Returns the picks in order and whether they passed."""
 
     def measure(ivs):
         return sum(iv.length() for iv in merge_intervals(ivs))
 
     chosen, covered = [], []
-    for _ in range(k_budget):
+    while point_not_covered_from_intervals(S, Coverage.of([covered])) is not None:
         base = measure(covered)
         best_gain, best_idx = 0.0, None
         for idx, ivs in enumerate(per):
@@ -555,20 +575,28 @@ def reference_greedy(per, k_budget):
             if gain > best_gain + 1e-15:
                 best_gain, best_idx = gain, idx
         if best_idx is None:
-            break
+            return chosen, False
         chosen.append(best_idx)
         covered = merge_intervals(covered + per[best_idx])
-        if covers_unit(covered):
-            break
-    return chosen
+    return chosen, True
 
 
-def assert_greedy_matches_reference(S, B, delta, k_budget):
-    starts, ends = candidate_segments(S, B)
-    want = reference_greedy(batch_candidate_coverage(S, starts, ends, delta), k_budget)
-    res = greedy_max_coverage(S, B, delta, k_budget)
-    assert res.centers == [B[i] for i in want]
-    return res
+def assert_shrink_matches_reference(S, per):
+    """shrink_cover picks what the reference picks, in its order, and only
+    past a gap the reference leaves does its nearest-pick step add more."""
+    picks, add = [], GreedyCore.add
+
+    def recorded(core, c):
+        picks.append(c)
+        add(core, c)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GreedyCore, "add", recorded)
+        keep = shrink_cover(S, per)
+    want, passed = reference_greedy(S, per)
+    assert picks[: len(want)] == want and (picks == want or not passed)
+    assert keep == sorted(picks)
+    return keep
 
 
 def test_greedy_matches_reference_on_suite_curves():
@@ -578,12 +606,15 @@ def test_greedy_matches_reference_on_suite_curves():
     curves.append(curve_from_points([(0, 0, 0), (3, 0, 1), (3, 3, 0), (0, 3, 1), (0, 0, 0)]))
     for P in curves:
         for delta in (0.3, 1.0):
-            S = simplify_curve(P, delta).curve
+            simplification = simplify_curve(P, delta)
+            S = simplification.curve
             if S.n < 2:
                 continue
             B = candidate_set(S, delta)
-            for budget in (1, 3, len(B)):
-                assert_greedy_matches_reference(S, B, 8.0 * delta, budget)
+            per = batch_candidate_coverage(S, *candidate_segments(S, B), 8.0 * delta)
+            keep = assert_shrink_matches_reference(S, per)
+            res = greedy_max_coverage(P, delta, simplification=simplification)
+            assert res.centers == [B[i] for i in keep]
 
 
 def test_shrink_keeps_both_sides_of_a_sub_tolerance_gap():
@@ -613,9 +644,9 @@ def test_greedy_tie_rule_follows_the_index_order_scan():
     # order ends on the third, although the second is within the tolerance
     # of the largest gain
     extra = (0.0, 2.0**-50, 2.0**-50 + 2.0**-51)
-    per = [[Interval(lo, lo + 0.125 + e)] for lo, e in zip((0.0, 0.5, 0.75), extra)]
-    assert reference_greedy(per, 1) == [2]
-    assert GreedyCore(Coverage.of(per)).best() == 2
+    per = Coverage.of([[Interval(lo, lo + 0.125 + e)] for lo, e in zip((0.0, 0.5, 0.75), extra)])
+    assert reference_greedy(curve_from_points([(0, 0), (10, 0)]), per)[0][0] == 2
+    assert GreedyCore(per).best() == 2
 
 
 def test_sampled_covers_are_subsets_of_the_sample():
@@ -655,10 +686,12 @@ def curves_and_candidates(draw):
 
 
 @PROPERTY
-@given(curves_and_candidates(), st.integers(1, 12))
-def test_greedy_matches_reference_on_generated_curves(scene, budget):
+@given(curves_and_candidates())
+def test_greedy_matches_reference_on_generated_curves(scene):
     S, radius, B = scene
-    assert_greedy_matches_reference(S, B, radius, budget)
+    # whole edges cover themselves, so the sample covers S
+    sample = B + [Candidate(e, 0.0, 1.0) for e in range(1, S.num_edges + 1)]
+    assert_shrink_matches_reference(S, batch_candidate_coverage(S, *candidate_segments(S, sample), radius))
 
 
 @PROPERTY
